@@ -22,27 +22,10 @@ from .graph import EXPORT_FORMATS, export, parse_edgelist
 from .modring import factorize
 from .shuriken import build_sh, build_shu
 
-THEOREMS = (
-    "degree",
-    "prime-power",
-    "pq",
-    "general",
-    "corollary",
-    "shu-connectivity",
-    "shu-inheritance",
-    "bridge",
-    "all",
-)
+# CLI theorem name -> per-modulus statement
+_NUMERIC = {t.cli_name: t for t in verify_mod.NUMERIC_THEOREMS.values() if t.cli_name}
 
-# CLI theorem name -> sweep ids (numeric theorems only)
-_SWEEP_IDS = {
-    "degree": ["degree_formula"],
-    "prime-power": ["prime_power_components"],
-    "pq": ["two_prime_isomorphism"],
-    "general": ["master_isomorphism"],
-    "corollary": ["self_inverse_count"],
-    "all": None,
-}
+THEOREMS = (*_NUMERIC, "shu-connectivity", "shu-inheritance", "bridge", "all")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,29 +166,6 @@ def _parse_range(spec: str, parser: argparse.ArgumentParser) -> range:
     return range(a, b + 1)
 
 
-def _single_report(theorem: str, n: int) -> "verify_mod.TheoremReport":
-    ring = factorize(n)
-    if theorem == "degree":
-        return verify_mod.verify_degree_formula(n)
-    if theorem == "general":
-        return verify_mod.verify_general(n)
-    if theorem == "corollary":
-        return verify_mod.verify_corollary(n)
-    if theorem == "pq":
-        return verify_mod.verify_pq_by_modulus(n)
-    if theorem == "prime-power":
-        if ring.num_primes != 1:
-            return verify_mod.TheoremReport(
-                "prime_power_components",
-                f"n={n}",
-                "rejected",
-                "modulus is not a prime power",
-            )
-        p, m = ring.factorization[0]
-        return verify_mod.verify_prime_power(p, m)
-    raise ValueError(theorem)
-
-
 def _exit_code(reports) -> int:
     if not reports:
         return 2
@@ -221,7 +181,6 @@ def _exit_code(reports) -> int:
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     theorem = args.theorem
-    reports = []
     if theorem in ("shu-connectivity", "shu-inheritance", "bridge"):
         if args.t is None or args.shn is None:
             parser.error(f"verify {theorem} requires --t and --n")
@@ -242,15 +201,14 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         if args.range_ is not None and args.n is not None:
             parser.error("give a single modulus or --range, not both")
         if args.range_ is not None:
-            ns = _parse_range(args.range_, parser)
-            reports = verify_mod.sweep(ns, _SWEEP_IDS[theorem])
-        elif args.n is not None:
-            if theorem == "all":
-                reports = verify_mod.sweep([args.n], None)
-            else:
-                reports = [_single_report(theorem, args.n)]
-        else:
+            ids = None if theorem == "all" else [_NUMERIC[theorem].theorem_id]
+            reports = verify_mod.sweep(_parse_range(args.range_, parser), ids)
+        elif args.n is None:
             parser.error(f"verify {theorem} requires a modulus or --range")
+        elif theorem == "all":
+            reports = verify_mod.sweep([args.n])
+        else:
+            reports = [_NUMERIC[theorem].check(factorize(args.n))]
 
     if args.json:
         sys.stdout.write(verify_mod.reports_to_json(reports, stable=args.stable))
@@ -278,10 +236,7 @@ def main(argv=None) -> int:
             print(backend())
             return 0
         return _cmd_verify(args, parser)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

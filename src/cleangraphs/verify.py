@@ -7,14 +7,18 @@ stays linear in the graph size.  The generic isomorphism searcher runs
 as an independent cross-check only under a size gate.  Instances that
 violate a statement's hypotheses come back as "rejected", never "fail":
 a verifier only judges instances the statement actually covers.
+
+The per-modulus statements are listed once, in NUMERIC_THEOREMS; the
+sweep and the command line both read them from there.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 from . import _kernels
 from .cleangraph import cl2, idempotent_graph, legacy_degree, pair_label, predicted_degree
@@ -33,6 +37,9 @@ from .shuriken import build_sh, build_shu, copy_label, hub_label, is_null
 SEARCH_GATE = 150
 
 Status = Literal["pass", "fail", "inconclusive", "rejected"]
+
+# what a verifier body returns: (instance, status, detail, evidence)
+_Outcome = tuple[str, Status, str, dict]
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,23 @@ def format_report(r: TheoremReport, stable: bool = False) -> str:
     return f"[{tag}] {r.theorem_id} {r.instance}{timing}: {r.detail}"
 
 
+def _timed(theorem_id: str):
+    """Turn a verifier body returning an _Outcome into a verifier
+    returning a TheoremReport stamped with theorem_id and the time the
+    whole call took."""
+
+    def decorate(body: Callable[..., _Outcome]) -> Callable[..., TheoremReport]:
+        @functools.wraps(body)
+        def verifier(*args, **kwargs) -> TheoremReport:
+            start = time.perf_counter()
+            outcome = body(*args, **kwargs)
+            return TheoremReport(theorem_id, *outcome, time.perf_counter() - start)
+
+        return verifier
+
+    return decorate
+
+
 def _ring(r: ModRing | int) -> ModRing:
     return factorize(r) if isinstance(r, int) else r
 
@@ -82,38 +106,36 @@ def _cl2_pairs(ring: ModRing) -> list[tuple[int, int]]:
 # -- degree formula -----------------------------------------------------------
 
 
-def verify_degree_formula(n: int) -> TheoremReport:
+@_timed("degree_formula")
+def verify_degree_formula(n: ModRing | int) -> _Outcome:
     """Compare every vertex degree of cl2(Z_n) against the closed form."""
-    start = time.perf_counter()
     ring = _ring(n)
+    instance = f"n={ring.modulus}"
     g = cl2(ring)
     for e, u in _cl2_pairs(ring):
         actual = g.degree(pair_label(e, u))
         predicted = predicted_degree(ring, e, u)
         if actual != predicted:
-            return TheoremReport(
-                "degree_formula",
-                f"n={n}",
+            return (
+                instance,
                 "fail",
                 f"vertex ({e},{u}) has degree {actual}, formula gives {predicted}",
                 {"vertex": [e, u], "actual": actual, "predicted": predicted},
-                time.perf_counter() - start,
             )
-    return TheoremReport(
-        "degree_formula",
-        f"n={n}",
+    return (
+        instance,
         "pass",
         f"all {g.num_vertices} vertex degrees match the closed form",
         {"vertices_checked": g.num_vertices},
-        time.perf_counter() - start,
     )
 
 
-def report_counterexample(n: int) -> TheoremReport:
+@_timed("legacy_degree_report")
+def report_counterexample(n: ModRing | int) -> _Outcome:
     """Tabulate vertices where the superseded degree count disagrees
     with the actual degree; the corrected form must still match."""
-    start = time.perf_counter()
     ring = _ring(n)
+    instance = f"n={ring.modulus}"
     g = cl2(ring)
     mismatches = []
     corrected_bad = None
@@ -128,22 +150,17 @@ def report_counterexample(n: int) -> TheoremReport:
         if corrected != actual and corrected_bad is None:
             corrected_bad = {"vertex": [e, u], "actual": actual, "corrected": corrected}
     if corrected_bad is not None:
-        return TheoremReport(
-            "legacy_degree_report",
-            f"n={n}",
+        return (
+            instance,
             "fail",
-            "corrected formula itself disagrees at "
-            f"{tuple(corrected_bad['vertex'])}",
+            f"corrected formula itself disagrees at {tuple(corrected_bad['vertex'])}",
             corrected_bad,
-            time.perf_counter() - start,
         )
-    return TheoremReport(
-        "legacy_degree_report",
-        f"n={n}",
+    return (
+        instance,
         "pass",
         f"{len(mismatches)} vertices where the superseded count overshoots",
         {"legacy_mismatches": mismatches, "count": len(mismatches)},
-        time.perf_counter() - start,
     )
 
 
@@ -168,38 +185,27 @@ def _expected_prime_power_components(p: int, m: int) -> Graph:
     return disjoint_union(pieces)
 
 
-def verify_prime_power(p: int, m: int) -> TheoremReport:
+@_timed("prime_power_components")
+def verify_prime_power(p: int, m: int) -> _Outcome:
     """cl2(Z_{p^m}) must decompose into the predicted isolated vertices
     and disjoint edges."""
-    start = time.perf_counter()
     instance = f"p={p} m={m}"
     if not is_prime(p) or m < 1:
-        return TheoremReport(
-            "prime_power_components",
-            instance,
-            "rejected",
-            "requires p prime and m >= 1",
-            {},
-            time.perf_counter() - start,
-        )
+        return instance, "rejected", "requires p prime and m >= 1", {}
     actual = ComponentSummary.of(cl2(p**m))
     expected = ComponentSummary.of(_expected_prime_power_components(p, m))
     if actual == expected:
-        return TheoremReport(
-            "prime_power_components",
+        return (
             instance,
             "pass",
             f"components are {actual.describe()}",
             {"components": actual.describe()},
-            time.perf_counter() - start,
         )
-    return TheoremReport(
-        "prime_power_components",
+    return (
         instance,
         "fail",
         f"got {actual.describe()}, predicted {expected.describe()}",
         {"actual": actual.describe(), "predicted": expected.describe()},
-        time.perf_counter() - start,
     )
 
 
@@ -245,38 +251,28 @@ def _two_prime_branch_t(p: int, np_: int, q: int, mq: int) -> int:
     return local(p, np_) * local(q, mq)
 
 
-def verify_pq(p: int, np_: int, q: int, mq: int) -> TheoremReport:
+@_timed("two_prime_isomorphism")
+def verify_pq(p: int, np_: int, q: int, mq: int) -> _Outcome:
     """cl2(Z_{p^np * q^mq}) against the standalone shuriken graph.
 
     Builds the proof's bijection: with units laid out u_1..u_k by the
     unit partition, the pair (e, u_i) goes to a_i, b_i or c_i according
     to whether e is the first CRT idempotent, the second, or 1.
     """
-    start = time.perf_counter()
     instance = f"p={p}^{np_} q={q}^{mq}"
     if p == q or not is_prime(p) or not is_prime(q) or np_ < 1 or mq < 1:
-        return TheoremReport(
-            "two_prime_isomorphism",
-            instance,
-            "rejected",
-            "requires distinct primes and positive exponents",
-            {},
-            time.perf_counter() - start,
-        )
-    n = p**np_ * q**mq
-    ring = _ring(n)
+        return instance, "rejected", "requires distinct primes and positive exponents", {}
+    ring = _ring(p**np_ * q**mq)
     part = ring.unit_partition()
     t, k = part.t, part.k
 
     branch_t = _two_prime_branch_t(p, np_, q, mq)
     if branch_t != t:
-        return TheoremReport(
-            "two_prime_isomorphism",
+        return (
             instance,
             "fail",
             f"branch predicts t={branch_t}, enumeration gives t={t}",
             {"t_branch": branch_t, "t_enumerated": t},
-            time.perf_counter() - start,
         )
 
     left = cl2(ring)
@@ -291,53 +287,35 @@ def verify_pq(p: int, np_: int, q: int, mq: int) -> TheoremReport:
         mapping[pair_label(1, u)] = f"c{i}"
 
     if not verify_mapping(left, right, mapping):
-        return TheoremReport(
-            "two_prime_isomorphism",
+        return (
             instance,
             "fail",
             "constructed witness is not an isomorphism",
             {"t": t, "k": k, "vertices": left.num_vertices},
-            time.perf_counter() - start,
         )
     status, note, extra = _cross_check(left, right)
     evidence = {"t": t, "k": k, "vertices": left.num_vertices, **extra}
     detail = f"witness onto Sh(t={t}, n={k}) verified; {note}"
     if status != "pass":
         detail = f"witness verified but {note}"
-    return TheoremReport(
-        "two_prime_isomorphism",
-        instance,
-        status,
-        detail,
-        evidence,
-        time.perf_counter() - start,
-    )
+    return instance, status, detail, evidence
 
 
-def verify_pq_by_modulus(n: int) -> TheoremReport:
-    """verify_pq with (p, np, q, mq) read off the factorization of n."""
-    ring = _ring(n)
-    if ring.num_primes != 2:
-        return TheoremReport(
-            "two_prime_isomorphism",
-            f"n={n}",
-            "rejected",
-            "modulus must have exactly two distinct prime factors",
-            {},
-            0.0,
-        )
-    (p, np_), (q, mq) = ring.factorization
-    return verify_pq(p, np_, q, mq)
+def verify_pq_by_modulus(n: ModRing | int) -> TheoremReport:
+    """verify_pq with (p, np, q, mq) read off the factorization of n;
+    rejected unless n has exactly two distinct prime factors."""
+    return NUMERIC_THEOREMS["two_prime_isomorphism"].check(_ring(n))
 
 
 # -- the general modulus -------------------------------------------------------
 
 
-def verify_general(n: int) -> TheoremReport:
+@_timed("master_isomorphism")
+def verify_general(n: ModRing | int) -> _Outcome:
     """cl2(Z_n) against the shuriken operation applied to the idempotent
     graph, via the proof witness f(e, u_i) = e@i (hub when e = 1)."""
-    start = time.perf_counter()
     ring = _ring(n)
+    instance = f"n={ring.modulus}"
     part = ring.unit_partition()
     t, k = part.t, part.k
     left = cl2(ring)
@@ -351,13 +329,11 @@ def verify_general(n: int) -> TheoremReport:
             mapping[pair_label(e, u)] = target
 
     if not verify_mapping(left, right, mapping):
-        return TheoremReport(
-            "master_isomorphism",
-            f"n={n}",
+        return (
+            instance,
             "fail",
             "constructed witness is not an isomorphism",
             {"t": t, "k": k, "vertices": left.num_vertices},
-            time.perf_counter() - start,
         )
     status, note, extra = _cross_check(left, right)
     evidence = {
@@ -373,20 +349,13 @@ def verify_general(n: int) -> TheoremReport:
     )
     if status != "pass":
         detail = f"witness verified but {note}"
-    return TheoremReport(
-        "master_isomorphism",
-        f"n={n}",
-        status,
-        detail,
-        evidence,
-        time.perf_counter() - start,
-    )
+    return instance, status, detail, evidence
 
 
 # -- self-inverse unit count ----------------------------------------------------
 
 
-def self_inverse_count_closed_form(n: int) -> int:
+def self_inverse_count_closed_form(n: ModRing | int) -> int:
     """Predicted |{u : u*u = 1 mod n}| from the 2-adic valuation of n
     and the number k of distinct prime factors."""
     ring = _ring(n)
@@ -399,17 +368,18 @@ def self_inverse_count_closed_form(n: int) -> int:
     return 2**k
 
 
-def verify_corollary(n: int) -> TheoremReport:
+@_timed("self_inverse_count")
+def verify_corollary(n: ModRing | int) -> _Outcome:
     """Check the closed forms for |U'| and |U| against direct scans."""
-    start = time.perf_counter()
-    t_scan = _kernels.count_square_roots_of_one(n)
-    t_formula = self_inverse_count_closed_form(n)
-    u_scan = _kernels.count_units(n)
-    u_formula = _ring(n).unit_count()
+    ring = _ring(n)
+    instance = f"n={ring.modulus}"
+    t_scan = _kernels.count_square_roots_of_one(ring.modulus)
+    t_formula = self_inverse_count_closed_form(ring)
+    u_scan = _kernels.count_units(ring.modulus)
+    u_formula = ring.unit_count()
     if t_scan != t_formula or u_scan != u_formula:
-        return TheoremReport(
-            "self_inverse_count",
-            f"n={n}",
+        return (
+            instance,
             "fail",
             f"scan gives t={t_scan}, m={u_scan}; "
             f"formulas give t={t_formula}, m={u_formula}",
@@ -419,74 +389,49 @@ def verify_corollary(n: int) -> TheoremReport:
                 "units_scan": u_scan,
                 "units_formula": u_formula,
             },
-            time.perf_counter() - start,
         )
-    return TheoremReport(
-        "self_inverse_count",
-        f"n={n}",
+    return (
+        instance,
         "pass",
         f"t={t_scan} and m={u_scan} match their closed forms",
         {"t": t_scan, "units": u_scan},
-        time.perf_counter() - start,
     )
 
 
 # -- shuriken operation properties ---------------------------------------------
 
 
-def verify_shu_connectivity(g: Graph, t: int, n: int) -> TheoremReport:
+@_timed("shu_connectivity")
+def verify_shu_connectivity(g: Graph, t: int, n: int) -> _Outcome:
     """Shu(g, t, n) must be disconnected exactly when g has no edges."""
-    start = time.perf_counter()
     instance = f"t={t} n={n} g=({g.num_vertices}v,{g.num_edges}e)"
     if not (n >= t >= 2) or (n - t) % 2:
-        return TheoremReport(
-            "shu_connectivity",
-            instance,
-            "rejected",
-            "hypotheses need n >= t >= 2 with n - t even",
-            {},
-            time.perf_counter() - start,
-        )
+        return instance, "rejected", "hypotheses need n >= t >= 2 with n - t even", {}
     shu = build_shu(g, t, n)
     null = is_null(g)
     components = len(shu.connected_components())
-    disconnected = components > 1
-    if disconnected == null:
-        return TheoremReport(
-            "shu_connectivity",
-            instance,
-            "pass",
-            f"{components} component(s), input {'null' if null else 'has an edge'}",
-            {"components": components, "input_null": null},
-            time.perf_counter() - start,
-        )
-    return TheoremReport(
-        "shu_connectivity",
-        instance,
-        "fail",
-        f"input {'null' if null else 'non-null'} but result has "
-        f"{components} component(s)",
-        {"components": components, "input_null": null},
-        time.perf_counter() - start,
-    )
+    evidence = {"components": components, "input_null": null}
+    if (components > 1) == null:
+        detail = f"{components} component(s), input {'null' if null else 'has an edge'}"
+        return instance, "pass", detail, evidence
+    detail = f"input {'null' if null else 'non-null'} but result has {components} component(s)"
+    return instance, "fail", detail, evidence
 
 
-def verify_shu_inheritance(g1: Graph, g2: Graph, t: int, n: int) -> TheoremReport:
+@_timed("shu_inheritance")
+def verify_shu_inheritance(g1: Graph, g2: Graph, t: int, n: int) -> _Outcome:
     """Shu(g1) and Shu(g2) are isomorphic exactly when g1 and g2 are,
     for connected inputs; both sides evaluated by the searcher."""
-    start = time.perf_counter()
     instance = (
         f"t={t} n={n} g1=({g1.num_vertices}v,{g1.num_edges}e) "
         f"g2=({g2.num_vertices}v,{g2.num_edges}e)"
     )
     if not (2 <= t < n) or (n - t) % 2 or not g1.is_connected() or not g2.is_connected():
-        return TheoremReport(
-            "shu_inheritance",
+        return (
             instance,
             "rejected",
             "hypotheses need connected inputs and 2 <= t < n with n - t even",
             {},
-            time.perf_counter() - start,
         )
     small = find_isomorphism(g1, g2)
     big = find_isomorphism(build_shu(g1, t, n), build_shu(g2, t, n))
@@ -496,41 +441,26 @@ def verify_shu_inheritance(g1: Graph, g2: Graph, t: int, n: int) -> TheoremRepor
         "nodes": small.nodes_expanded + big.nodes_expanded,
     }
     if small.status == "inconclusive" or big.status == "inconclusive":
-        return TheoremReport(
-            "shu_inheritance",
+        return (
             instance,
             "inconclusive",
             "searcher budget exhausted before deciding both sides",
             evidence,
-            time.perf_counter() - start,
         )
     agree = (small.status == "isomorphic") == (big.status == "isomorphic")
-    return TheoremReport(
-        "shu_inheritance",
-        instance,
-        "pass" if agree else "fail",
-        f"inputs {small.status}, results {big.status}",
-        evidence,
-        time.perf_counter() - start,
-    )
+    detail = f"inputs {small.status}, results {big.status}"
+    return instance, "pass" if agree else "fail", detail, evidence
 
 
-def verify_sh_shu_bridge(t: int, n: int) -> TheoremReport:
+@_timed("sh_shu_bridge")
+def verify_sh_shu_bridge(t: int, n: int) -> _Outcome:
     """The standalone shuriken graph must equal the shuriken operation
     applied to a single edge: a_i, b_i, c_i map to v1@i, v2@i, z@i."""
-    start = time.perf_counter()
     instance = f"t={t} n={n}"
     try:
         sh = build_sh(t, n)
     except ValueError as exc:
-        return TheoremReport(
-            "sh_shu_bridge",
-            instance,
-            "rejected",
-            str(exc),
-            {},
-            time.perf_counter() - start,
-        )
+        return instance, "rejected", str(exc), {}
     shu = build_shu(complete_graph(2), t, n)
     mapping = {}
     for i in range(1, n + 1):
@@ -538,54 +468,72 @@ def verify_sh_shu_bridge(t: int, n: int) -> TheoremReport:
         mapping[f"b{i}"] = copy_label("v2", i)
         mapping[f"c{i}"] = hub_label(i)
     if not verify_mapping(sh, shu, mapping):
-        return TheoremReport(
-            "sh_shu_bridge",
+        return (
             instance,
             "fail",
             "bridge witness is not an isomorphism",
             {"vertices": sh.num_vertices},
-            time.perf_counter() - start,
         )
     status, note, extra = _cross_check(sh, shu)
-    return TheoremReport(
-        "sh_shu_bridge",
+    return (
         instance,
         status,
         f"bridge witness verified; {note}",
         {"vertices": sh.num_vertices, **extra},
-        time.perf_counter() - start,
     )
 
 
-# -- sweeps -----------------------------------------------------------------
+# -- the per-modulus registry and sweeps ----------------------------------------
 
-# per-modulus verifiers, keyed by report id, with an applicability test
+
+@dataclass(frozen=True)
+class NumericTheorem:
+    """A statement checked one modulus at a time.
+
+    ``cli_name`` is its ``verify`` choice on the command line (None when
+    only ``all`` runs it).  ``run`` takes the already factored ring and
+    looks its verifier up by name at call time, so a rebound module
+    attribute (a tracer, a test double) is the one that runs.
+    """
+
+    theorem_id: str
+    cli_name: str | None
+    run: Callable[[ModRing], TheoremReport]
+    applies: Callable[[ModRing], bool] = lambda ring: True
+    rejection: str = ""
+
+    def check(self, ring: ModRing) -> TheoremReport:
+        """The runner's report, or "rejected" when the statement does not
+        cover the modulus."""
+        if self.applies(ring):
+            return self.run(ring)
+        return TheoremReport(self.theorem_id, f"n={ring.modulus}", "rejected", self.rejection)
+
+
+# keyed by report id, in the order the command line lists the choices
 NUMERIC_THEOREMS = {
-    "degree_formula": lambda ring: True,
-    "legacy_degree_report": lambda ring: True,
-    "master_isomorphism": lambda ring: True,
-    "prime_power_components": lambda ring: ring.num_primes == 1,
-    "self_inverse_count": lambda ring: True,
-    "two_prime_isomorphism": lambda ring: ring.num_primes == 2,
+    theorem.theorem_id: theorem
+    for theorem in (
+        NumericTheorem("degree_formula", "degree", lambda ring: verify_degree_formula(ring)),
+        NumericTheorem(
+            "prime_power_components",
+            "prime-power",
+            lambda ring: verify_prime_power(*ring.factorization[0]),
+            lambda ring: ring.num_primes == 1,
+            "modulus is not a prime power",
+        ),
+        NumericTheorem(
+            "two_prime_isomorphism",
+            "pq",
+            lambda ring: verify_pq(*ring.factorization[0], *ring.factorization[1]),
+            lambda ring: ring.num_primes == 2,
+            "modulus must have exactly two distinct prime factors",
+        ),
+        NumericTheorem("master_isomorphism", "general", lambda ring: verify_general(ring)),
+        NumericTheorem("self_inverse_count", "corollary", lambda ring: verify_corollary(ring)),
+        NumericTheorem("legacy_degree_report", None, lambda ring: report_counterexample(ring)),
+    )
 }
-
-
-def _run_numeric(theorem_id: str, ring: ModRing) -> TheoremReport:
-    n = ring.modulus
-    if theorem_id == "degree_formula":
-        return verify_degree_formula(n)
-    if theorem_id == "legacy_degree_report":
-        return report_counterexample(n)
-    if theorem_id == "master_isomorphism":
-        return verify_general(n)
-    if theorem_id == "prime_power_components":
-        p, m = ring.factorization[0]
-        return verify_prime_power(p, m)
-    if theorem_id == "self_inverse_count":
-        return verify_corollary(n)
-    if theorem_id == "two_prime_isomorphism":
-        return verify_pq_by_modulus(n)
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
 
 
 def sweep(ns: Iterable[int], theorem_ids: Iterable[str] | None = None) -> list[TheoremReport]:
@@ -593,16 +541,15 @@ def sweep(ns: Iterable[int], theorem_ids: Iterable[str] | None = None) -> list[T
 
     Inapplicable combinations (a prime-power statement on a modulus with
     two factors, and so on) are skipped, not reported.  Results are
-    ordered by (n, theorem_id).
+    ordered by (n, theorem_id).  Each modulus is factored once.
     """
     ids = sorted(NUMERIC_THEOREMS) if theorem_ids is None else sorted(set(theorem_ids))
     unknown = [i for i in ids if i not in NUMERIC_THEOREMS]
     if unknown:
         raise ValueError(f"unknown theorem ids: {unknown}")
+    theorems = [NUMERIC_THEOREMS[i] for i in ids]
     reports = []
     for n in sorted(set(ns)):
         ring = factorize(n)
-        for tid in ids:
-            if NUMERIC_THEOREMS[tid](ring):
-                reports.append(_run_numeric(tid, ring))
+        reports += [theorem.run(ring) for theorem in theorems if theorem.applies(ring)]
     return reports

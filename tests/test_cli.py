@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cleangraphs.cli import _exit_code, main
+from cleangraphs.cli import THEOREMS, _exit_code, main
 from cleangraphs.verify import TheoremReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,6 +137,44 @@ def test_verify_rejected_instance_exits_2(capsys):
     assert out.startswith("[REJECTED]")
 
 
+def test_verify_rejected_prime_power_output_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "prime-power", "12", "--stable")
+    assert code == 2
+    assert out == "[REJECTED] prime_power_components n=12: modulus is not a prime power\n"
+    assert err == ""
+
+
+def test_verify_rejected_pq_json_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "pq", "8", "--json", "--stable")
+    assert code == 2
+    assert out == (
+        "[\n"
+        "  {\n"
+        '    "theorem_id": "two_prime_isomorphism",\n'
+        '    "instance": "n=8",\n'
+        '    "status": "rejected",\n'
+        '    "detail": "modulus must have exactly two distinct prime factors",\n'
+        '    "evidence": {}\n'
+        "  }\n"
+        "]\n"
+    )
+    assert err == ""
+
+
+def test_verify_theorem_choices_keep_their_order():
+    assert THEOREMS == (
+        "degree",
+        "prime-power",
+        "pq",
+        "general",
+        "corollary",
+        "shu-connectivity",
+        "shu-inheritance",
+        "bridge",
+        "all",
+    )
+
+
 def test_verify_shu_connectivity_via_files(capsys, tmp_path):
     f = tmp_path / "g.edgelist"
     f.write_text("v a\nv b\ne a b\n")
@@ -238,3 +276,10 @@ def test_export_matches_golden(capsys, monkeypatch, base, fmt, ext):
     code, out, _ = run(capsys, "export", "--format", fmt, "--stable")
     assert code == 0
     assert out.encode() == _golden_bytes(f"{base}.{ext}")
+
+
+def test_verify_all_range_matches_golden(capsys):
+    code, out, err = run(capsys, "verify", "all", "--range", "2..40", "--stable")
+    assert code == 0
+    assert err == ""
+    assert out.encode() == _golden_bytes("verify_all_2_40.txt")

@@ -1,9 +1,11 @@
 """Verifier behavior: statuses, evidence, rejection semantics, sweeps."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from cleangraphs import verify as verify_module
 from cleangraphs.graph import complete_graph, empty_graph, path_graph
 from cleangraphs.verify import (
     TheoremReport,
@@ -181,3 +183,48 @@ def test_report_serialization():
     line = format_report(r, stable=True)
     assert line == "[PASS] x n=1: fine"
     assert "0.5" in format_report(r)
+
+
+def test_each_modulus_is_factored_once(monkeypatch):
+    calls = []
+    real = verify_module.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr("cleangraphs.verify.factorize", counting)
+    assert verify_corollary(360).ok
+    assert calls == [360]
+    calls.clear()
+    ids = ["degree_formula", "legacy_degree_report", "master_isomorphism", "self_inverse_count"]
+    reports = sweep([360], ids)
+    assert [r.theorem_id for r in reports] == ids
+    assert all(r.ok for r in reports)
+    assert calls == [360]
+
+
+def test_benchmark_tracer_attributes_every_numeric_theorem(monkeypatch):
+    # the benchmark's per-layer run rebinds these module attributes; a
+    # registry that held verifier objects instead of names would escape it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    for owner, attr, _, _ in tracing.FUNCTIONS:
+        assert hasattr(owner, attr), (owner.__name__, attr)
+    original = verify_module.sweep
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        reports = verify_module.sweep([15, 27, 30])
+    assert verify_module.sweep is original
+    assert reports and all(r.ok for r in reports)
+    names = {span[0] for span in tracer.spans if span[0].startswith("verify.")}
+    assert names == {
+        "verify.sweep",
+        "verify.degree_formula",
+        "verify.legacy_degree_report",
+        "verify.master_isomorphism",
+        "verify.prime_power_components",
+        "verify.self_inverse_count",
+        "verify.two_prime_isomorphism",
+    }
