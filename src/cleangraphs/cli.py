@@ -25,7 +25,14 @@ from .shuriken import build_sh, build_shu
 # CLI theorem name -> per-modulus statement
 _NUMERIC = {t.cli_name: t for t in verify_mod.NUMERIC_THEOREMS.values() if t.cli_name}
 
-THEOREMS = (*_NUMERIC, "shu-connectivity", "shu-inheritance", "bridge", "all")
+# graph-argument theorem -> the arguments it reads
+_GRAPH_THEOREM_READS = {
+    "shu-connectivity": {"t", "shn", "input"},
+    "shu-inheritance": {"t", "shn", "input", "input2"},
+    "bridge": {"t", "shn"},
+}
+
+THEOREMS = (*_NUMERIC, *_GRAPH_THEOREM_READS, "all")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--input", help="edge-list file (graph argument)")
     p_verify.add_argument("--input2", help="second edge-list file (inheritance)")
 
-    p_back = sub.add_parser("backend", help="show which arithmetic kernel is active")
+    p_back = sub.add_parser("backend", help="print the name of the arithmetic kernels")
     p_back.set_defaults(command="backend")
 
     return parser
@@ -83,6 +90,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_graph_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edgelist(fh.read())
+
+
+# argparse dest -> how an error message names the argument
+_ARGUMENT_NAMES = {
+    "n": "a modulus",
+    "range_": "--range",
+    "t": "--t",
+    "shn": "--n",
+    "input": "--input",
+    "input2": "--input2",
+}
+
+
+def _reject_unread(args, parser: argparse.ArgumentParser, command: str, reads: set[str]) -> None:
+    """Usage error for any argument given to ``command`` that it does not read."""
+    for dest, name in _ARGUMENT_NAMES.items():
+        if dest not in reads and getattr(args, dest, None) is not None:
+            parser.error(f"{command} does not take {name}")
 
 
 def _cmd_ring(args) -> int:
@@ -105,6 +130,7 @@ def _cmd_ring(args) -> int:
 def _cmd_build(args, parser: argparse.ArgumentParser) -> int:
     fam = args.family
     if fam in ("idempotent", "clean", "cl1", "cl2"):
+        _reject_unread(args, parser, f"build {fam}", {"n"})
         if args.n is None:
             parser.error(f"build {fam} requires a modulus argument")
         builder = {
@@ -115,10 +141,12 @@ def _cmd_build(args, parser: argparse.ArgumentParser) -> int:
         }[fam]
         g = builder(args.n)
     elif fam == "sh":
+        _reject_unread(args, parser, "build sh", {"t", "shn"})
         if args.t is None or args.shn is None:
             parser.error("build sh requires --t and --n")
         g = build_sh(args.t, args.shn)
     else:
+        _reject_unread(args, parser, "build shu", {"t", "shn", "input"})
         if args.t is None or args.shn is None or args.input is None:
             parser.error("build shu requires --t, --n and --input")
         g = build_shu(_read_graph_file(args.input), args.t, args.shn)
@@ -181,7 +209,8 @@ def _exit_code(reports) -> int:
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     theorem = args.theorem
-    if theorem in ("shu-connectivity", "shu-inheritance", "bridge"):
+    if theorem in _GRAPH_THEOREM_READS:
+        _reject_unread(args, parser, f"verify {theorem}", _GRAPH_THEOREM_READS[theorem])
         if args.t is None or args.shn is None:
             parser.error(f"verify {theorem} requires --t and --n")
         if theorem == "bridge":
@@ -198,6 +227,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
             g2 = _read_graph_file(args.input2)
             reports = [verify_mod.verify_shu_inheritance(g1, g2, args.t, args.shn)]
     else:
+        _reject_unread(args, parser, f"verify {theorem}", {"n", "range_"})
         if args.range_ is not None and args.n is not None:
             parser.error("give a single modulus or --range, not both")
         if args.range_ is not None:
