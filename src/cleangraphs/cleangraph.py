@@ -30,9 +30,9 @@ def idempotent_graph(r: ModRing | int) -> Graph:
     verts = ring.nontrivial_idempotents()
     g = Graph(str(e) for e in verts)
     for i, e in enumerate(verts):
-        for f in verts[i + 1 :]:
+        for j, f in enumerate(verts[i + 1 :], start=i + 1):
             if e * f % n == 0:
-                g.add_edge(str(e), str(f))
+                g.link(i, j)
     return g
 
 
@@ -43,9 +43,9 @@ def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
     verts = [(e, u) for e in idempotents for u in units]
     g = Graph(pair_label(e, u) for e, u in verts)
     for i, (e, u) in enumerate(verts):
-        for f, v in verts[i + 1 :]:
+        for j, (f, v) in enumerate(verts[i + 1 :], start=i + 1):
             if e * f % n == 0 or u * v % n == 1:
-                g.add_edge(pair_label(e, u), pair_label(f, v))
+                g.link(i, j)
     return g
 
 

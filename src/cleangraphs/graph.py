@@ -1,10 +1,13 @@
 """Small simple-graph toolkit: construction, components, isomorphism search,
 deterministic export.
 
-Vertices are string labels.  Graphs are undirected, loop-free and
-unweighted; that is all the ring constructions need.  The isomorphism
-searcher is independent of any structure theorem so it can serve as a
-neutral cross-check for constructive witnesses.
+Vertices are the indices 0..V-1 in insertion order, and every algorithm
+works on them.  String labels appear only at the boundary: the
+label-taking methods, isomorphism witnesses, export and parsing.
+Graphs are undirected, loop-free and unweighted; that is all the ring
+constructions need.  The isomorphism searcher is independent of any
+structure theorem so it can serve as a neutral cross-check for
+constructive witnesses.
 """
 
 from __future__ import annotations
@@ -24,22 +27,20 @@ MAX_CANON_VERTICES = 8
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
-def _norm(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 class Graph:
-    """Mutable simple graph with ordered vertex storage."""
+    """Mutable simple graph: vertex i has label ``labels[i]`` and the
+    neighbour indices ``adj[i]``; ``index`` maps each label back to i."""
 
-    __slots__ = ("_order", "_adj")
+    __slots__ = ("labels", "index", "adj")
 
     def __init__(
         self,
         vertices: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ) -> None:
-        self._order: list[str] = []
-        self._adj: dict[str, set[str]] = {}
+        self.labels: list[str] = []
+        self.index: dict[str, int] = {}
+        self.adj: list[set[int]] = []
         for v in vertices:
             self.add_vertex(v)
         for a, b in edges:
@@ -47,115 +48,129 @@ class Graph:
 
     # -- mutation ------------------------------------------------------------
 
-    def add_vertex(self, v: str) -> None:
-        if not isinstance(v, str):
-            raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
-        if v not in self._adj:
-            self._order.append(v)
-            self._adj[v] = set()
+    def add_vertex(self, v: str) -> int:
+        """Index of vertex v, added first if it is new."""
+        i = self.index.get(v)
+        if i is None:
+            if not isinstance(v, str):
+                raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
+            i = self.index[v] = len(self.labels)
+            self.labels.append(v)
+            self.adj.append(set())
+        return i
 
     def add_edge(self, a: str, b: str) -> None:
         if a == b:
             raise ValueError(f"self-loop at {a!r} not allowed")
-        self.add_vertex(a)
-        self.add_vertex(b)
-        self._adj[a].add(b)
-        self._adj[b].add(a)
+        self.link(self.add_vertex(a), self.add_vertex(b))
+
+    def link(self, i: int, j: int) -> None:
+        """Add the edge between the vertices with indices i and j."""
+        if i == j:
+            raise ValueError(f"self-loop at {self.labels[i]!r} not allowed")
+        self.adj[i].add(j)
+        self.adj[j].add(i)
 
     # -- inspection ------------------------------------------------------------
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        return tuple(self._order)
+        return tuple(self.labels)
 
     @property
     def num_vertices(self) -> int:
-        return len(self._order)
+        return len(self.labels)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self._adj.values()) // 2
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> tuple[tuple[str, str], ...]:
-        """All edges as normalized pairs, sorted."""
-        seen = {_norm(a, b) for a, nbrs in self._adj.items() for b in nbrs}
-        return tuple(sorted(seen))
+        """All edges as label pairs, smaller label first, sorted."""
+        labels = self.labels
+        by_label = sorted(range(len(labels)), key=labels.__getitem__)
+        rank = sorted(range(len(labels)), key=by_label.__getitem__)  # inverse of by_label
+        return tuple(
+            (labels[i], labels[by_label[s]])
+            for r, i in enumerate(by_label)
+            for s in sorted(rank[j] for j in self.adj[i] if rank[j] > r)
+        )
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._adj
+        return v in self.index
 
     def has_edge(self, a: str, b: str) -> bool:
-        return a in self._adj and b in self._adj[a]
+        i = self.index.get(a)
+        return i is not None and self.index.get(b) in self.adj[i]
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return frozenset(self._adj[v])
+        labels = self.labels
+        return frozenset([labels[j] for j in self.adj[self.index[v]]])
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return len(self.adj[self.index[v]])
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees in non-increasing order."""
-        return tuple(sorted((len(s) for s in self._adj.values()), reverse=True))
+        return tuple(sorted(map(len, self.adj), reverse=True))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return set(self._order) == set(other._order) and self.edges() == other.edges()
-
-    def __hash__(self):
-        raise TypeError("Graph is mutable and unhashable")
+        return set(self.labels) == set(other.labels) and self.edges() == other.edges()
 
     def __repr__(self) -> str:
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
 
     # -- derived graphs ------------------------------------------------------
 
+    def _subgraph(self, keep: list[int]) -> "Graph":
+        """Induced subgraph on the vertex indices ``keep``, in that order."""
+        g = Graph(self.labels[i] for i in keep)
+        new = dict(zip(keep, range(len(keep))))
+        g.adj = [{new[j] for j in self.adj[i] if j in new} for i in keep]
+        return g
+
     def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
         keep_set = set(keep)
-        missing = keep_set - set(self._adj)
+        missing = keep_set - self.index.keys()
         if missing:
             raise ValueError(f"not vertices of this graph: {sorted(missing)}")
-        g = Graph(v for v in self._order if v in keep_set)
-        for a, b in self.edges():
-            if a in keep_set and b in keep_set:
-                g.add_edge(a, b)
-        return g
+        return self._subgraph(sorted(self.index[v] for v in keep_set))
 
     def relabel(self, mapping: Mapping[str, str]) -> "Graph":
         """Injectively rename every vertex."""
-        if set(mapping) != set(self._adj):
+        if set(mapping) != self.index.keys():
             raise ValueError("mapping must cover exactly the vertex set")
         if len(set(mapping.values())) != len(mapping):
             raise ValueError("mapping must be injective")
-        g = Graph(mapping[v] for v in self._order)
-        for a, b in self.edges():
-            g.add_edge(mapping[a], mapping[b])
+        g = Graph(mapping[v] for v in self.labels)
+        g.adj = [set(row) for row in self.adj]
         return g
+
+    def _component(self, start: int) -> set[int]:
+        """Indices of the vertices reachable from index ``start``."""
+        part, stack = {start}, [start]
+        while stack:
+            new = self.adj[stack.pop()] - part
+            part |= new
+            stack += new
+        return part
 
     def connected_components(self) -> list["Graph"]:
         """Induced component subgraphs, largest first, ties by vertex labels."""
-        seen: set[str] = set()
+        seen: set[int] = set()
         comps: list[Graph] = []
-        for start in self._order:
-            if start in seen:
-                continue
-            stack = [start]
-            part = {start}
-            while stack:
-                v = stack.pop()
-                for w in self._adj[v]:
-                    if w not in part:
-                        part.add(w)
-                        stack.append(w)
-            seen |= part
-            comps.append(self.induced_subgraph(part))
+        for start in range(len(self.labels)):
+            if start not in seen:
+                part = self._component(start)
+                seen |= part
+                comps.append(self._subgraph(sorted(part)))
         comps.sort(key=lambda c: (-c.num_vertices, c.vertices))
         return comps
 
     def is_connected(self) -> bool:
-        if not self._order:
-            return True
-        return len(self.connected_components()) == 1
+        return not self.labels or len(self._component(0)) == len(self.labels)
 
 
 # -- stock constructions -------------------------------------------------------
@@ -169,10 +184,9 @@ def _labels(k: int) -> list[str]:
 
 def complete_graph(k: int) -> Graph:
     g = Graph(_labels(k))
-    vs = g.vertices
     for i in range(k):
         for j in range(i + 1, k):
-            g.add_edge(vs[i], vs[j])
+            g.link(i, j)
     return g
 
 
@@ -182,9 +196,8 @@ def empty_graph(k: int) -> Graph:
 
 def path_graph(k: int) -> Graph:
     g = Graph(_labels(k))
-    vs = g.vertices
     for i in range(k - 1):
-        g.add_edge(vs[i], vs[i + 1])
+        g.link(i, i + 1)
     return g
 
 
@@ -192,10 +205,11 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     """Disjoint union; vertex v of the i-th input becomes ``p{i}_{v}``."""
     out = Graph()
     for i, g in enumerate(graphs):
-        for v in g.vertices:
-            out.add_vertex(f"p{i}_{v}")
-        for a, b in g.edges():
-            out.add_edge(f"p{i}_{a}", f"p{i}_{b}")
+        at = [out.add_vertex(f"p{i}_{v}") for v in g.labels]
+        for a, row in enumerate(g.adj):
+            for b in row:
+                if a < b:
+                    out.link(at[a], at[b])
     return out
 
 
@@ -211,15 +225,11 @@ def canonical_form(g: Graph) -> tuple[int, int] | None:
     k = g.num_vertices
     if k > MAX_CANON_VERTICES:
         return None
-    vs = g.vertices
-    idx = {v: i for i, v in enumerate(vs)}
-    nbrs = [frozenset(idx[w] for w in g.neighbors(v)) for v in vs]
     best: int | None = None
     for perm in permutations(range(k)):
         code = 0
         for i in range(k):
-            pi = perm[i]
-            row = nbrs[pi]
+            row = g.adj[perm[i]]
             for j in range(i + 1, k):
                 code = code << 1 | (perm[j] in row)
         if best is None or code < best:
@@ -285,74 +295,72 @@ class IsoResult:
 def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) -> bool:
     """Check that mapping is a graph isomorphism from g onto h.
 
-    Bijectivity plus edge counts reduce the work to mapping each g-edge
-    onto some h-edge: injective vertex images make the induced edge map
-    injective, and equal edge counts then force surjectivity, so
-    non-edges are preserved automatically.
+    The label mapping becomes one permutation of vertex indices; a
+    bijection is an isomorphism when it carries every vertex's
+    neighbour set exactly onto the neighbour set of its image.
     """
     if isinstance(mapping, IsoWitness):
         mapping = mapping.as_dict()
-    if set(mapping) != set(g.vertices):
+    k = g.num_vertices
+    if len(mapping) != k or h.num_vertices != k or g.num_edges != h.num_edges:
         return False
-    images = set(mapping.values())
-    if len(images) != len(mapping) or images != set(h.vertices):
+    perm = [0] * k
+    for a, b in mapping.items():
+        i, j = g.index.get(a), h.index.get(b)
+        if i is None or j is None:
+            return False
+        perm[i] = j
+    if len(set(perm)) != k:
         return False
-    if g.num_edges != h.num_edges:
-        return False
-    return all(h.has_edge(mapping[a], mapping[b]) for a, b in g.edges())
+    return all(h.adj[perm[i]] == set(map(perm.__getitem__, row)) for i, row in enumerate(g.adj))
 
 
-def _joint_refinement(
-    g: Graph, h: Graph
-) -> tuple[dict[str, int], dict[str, int]] | None:
+def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
     """Degree-seeded color refinement run over both graphs at once.
 
-    Returns stable colorings sharing one palette, or None as soon as the
-    color histograms split (which certifies non-isomorphism).
+    Returns stable colorings (by vertex index) sharing one palette, or
+    None as soon as the color histograms split (which certifies
+    non-isomorphism).
     """
-    cg = {v: g.degree(v) for v in g.vertices}
-    ch = {v: h.degree(v) for v in h.vertices}
+    cg = [len(row) for row in g.adj]
+    ch = [len(row) for row in h.adj]
     while True:
-        if Counter(cg.values()) != Counter(ch.values()):
+        if Counter(cg) != Counter(ch):
             return None
         palette: dict[tuple, int] = {}
 
-        def recolor(graph: Graph, colors: dict[str, int]) -> dict[str, int]:
-            out = {}
-            for v in graph.vertices:
-                sig = (colors[v], tuple(sorted(colors[w] for w in graph.neighbors(v))))
-                out[v] = palette.setdefault(sig, len(palette))
-            return out
+        def recolor(adj: list[set[int]], colors: list[int]) -> list[int]:
+            return [
+                palette.setdefault((c, tuple(sorted([colors[w] for w in row]))), len(palette))
+                for c, row in zip(colors, adj)
+            ]
 
-        ng, nh = recolor(g, cg), recolor(h, ch)
-        stable = len(set(ng.values())) == len(set(cg.values()))
+        ng, nh = recolor(g.adj, cg), recolor(h.adj, ch)
+        stable = len(set(ng)) == len(set(cg))
         cg, ch = ng, nh
         if stable:
-            if Counter(cg.values()) != Counter(ch.values()):
+            if Counter(cg) != Counter(ch):
                 return None
             return cg, ch
 
 
-def _search_order(g: Graph, colors: dict[str, int]) -> list[str]:
-    """Vertex order for the backtracker: stay adjacent to the mapped
-    prefix, prefer rare colors and high degree."""
-    class_size = Counter(colors.values())
-    order: list[str] = []
-    placed: set[str] = set()
-    remaining = set(g.vertices)
+def _search_order(g: Graph, colors: list[int]) -> list[int]:
+    """Vertex indices in backtracking order: stay adjacent to the mapped
+    prefix, prefer rare colors and high degree, then the smaller label."""
+    class_size = Counter(colors)
+    labels, adj = g.labels, g.adj
+    placed_nbrs = [0] * len(labels)
+    order: list[int] = []
+    remaining = set(range(len(labels)))
     while remaining:
         v = min(
             remaining,
-            key=lambda u: (
-                -sum(1 for w in g.neighbors(u) if w in placed),
-                class_size[colors[u]],
-                -g.degree(u),
-                u,
-            ),
+            key=lambda u: (-placed_nbrs[u], class_size[colors[u]], -len(adj[u]), labels[u]),
         )
         order.append(v)
-        placed.add(v)
         remaining.remove(v)
+        for w in adj[v]:
+            placed_nbrs[w] += 1
     return order
 
 
@@ -364,7 +372,9 @@ def find_isomorphism(
     Pipeline: cheap invariants, then joint color refinement, then
     color-respecting backtracking.  Exhausting the search space proves
     non-isomorphism; exceeding ``budget`` node expansions yields
-    ``inconclusive`` instead of a wrong verdict.
+    ``inconclusive`` instead of a wrong verdict.  Ties in the search
+    order and among candidates are broken by label, so the result does
+    not depend on the order the vertices were added in.
     """
     if g.num_vertices != h.num_vertices or g.num_edges != h.num_edges:
         return IsoResult("not_isomorphic", None, 0)
@@ -380,61 +390,51 @@ def find_isomorphism(
 
     order = _search_order(g, cg)
     k = len(order)
-    by_color: dict[int, list[str]] = {}
-    for v in h.vertices:
+    # candidates of each color, in label order
+    by_color: dict[int, list[int]] = {}
+    for v in sorted(range(k), key=h.labels.__getitem__):
         by_color.setdefault(ch[v], []).append(v)
-    for vs in by_color.values():
-        vs.sort()
+    # back[d]: the neighbours of order[d] that come before it in the order
+    back: list[list[int]] = []
+    placed: set[int] = set()
+    for v in order:
+        back.append([w for w in g.adj[v] if w in placed])
+        placed.add(v)
 
-    g_nbrs = {v: g.neighbors(v) for v in g.vertices}
-    h_nbrs = {v: h.neighbors(v) for v in h.vertices}
-    # earlier order positions adjacent to order[d], precomputed per depth
-    back_adj: list[list[int]] = []
-    pos = {v: i for i, v in enumerate(order)}
-    for d, v in enumerate(order):
-        back_adj.append([pos[w] for w in g_nbrs[v] if pos[w] < d])
-
-    mapping: list[str | None] = [None] * k
-    used: set[str] = set()
-    cand_iters: list[Iterable[str]] = [iter(by_color.get(cg[order[0]], []))]
+    image = [0] * k  # image[v]: the h vertex that g vertex v is mapped to
+    used: set[int] = set()
+    cand_iters: list[Iterable[int]] = [iter(by_color.get(cg[order[0]], []))]
     depth = 0
     expanded = 0
 
     while depth >= 0:
-        advanced = False
         for cand in cand_iters[depth]:
             if cand in used:
                 continue
             expanded += 1
             if expanded > budget:
                 return IsoResult("inconclusive", None, expanded)
-            # exact consistency with the mapped prefix: neighbors of the
-            # current vertex must map onto neighbors of cand, and the
-            # adjacency counts below make non-edges match too
-            want = back_adj[depth]
-            cn = h_nbrs[cand]
-            if any(mapping[i] not in cn for i in want):
+            # exact consistency with the mapped prefix: the mapped neighbours
+            # of the current vertex must land on neighbours of cand, and no
+            # other mapped vertex may, so non-edges match too
+            want = back[depth]
+            cn = h.adj[cand]
+            if any(image[w] not in cn for w in want) or len(cn & used) != len(want):
                 continue
-            if sum(1 for i in range(depth) if mapping[i] in cn) != len(want):
-                continue
-            mapping[depth] = cand
+            image[order[depth]] = cand
             used.add(cand)
             depth += 1
             if depth == k:
-                witness = IsoWitness.from_dict(
-                    {order[i]: mapping[i] for i in range(k)}  # type: ignore[misc]
-                )
+                witness = IsoWitness.from_dict({g.labels[v]: h.labels[image[v]] for v in range(k)})
                 assert verify_mapping(g, h, witness)
                 return IsoResult("isomorphic", witness, expanded)
             cand_iters.append(iter(by_color.get(cg[order[depth]], [])))
-            advanced = True
             break
-        if not advanced:
+        else:
             cand_iters.pop()
             depth -= 1
-            if depth >= 0 and mapping[depth] is not None:
-                used.discard(mapping[depth])  # type: ignore[arg-type]
-                mapping[depth] = None
+            if depth >= 0:
+                used.discard(image[order[depth]])
     return IsoResult("not_isomorphic", None, expanded)
 
 
@@ -444,7 +444,13 @@ EXPORT_FORMATS = ("dot", "json", "edgelist", "incidence")
 
 
 def _check_exportable(g: Graph) -> None:
-    for v in g.vertices:
+    # an empty label cannot be parsed back, and a trailing backslash would
+    # escape the closing quote in DOT
+    for v in g.labels:
+        if not v:
+            raise ValueError("empty vertex label")
+        if v.endswith("\\"):
+            raise ValueError(f"label {v!r} ends in a backslash")
         if any(ch.isspace() for ch in v) or '"' in v:
             raise ValueError(f"label {v!r} contains whitespace or quotes")
 

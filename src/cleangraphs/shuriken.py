@@ -33,26 +33,24 @@ def build_sh(t: int, n: int) -> Graph:
     if (n - t) % 2:
         raise ValueError(f"n - t must be even, got t={t} n={n}")
 
-    g = Graph(
-        [f"a{i}" for i in range(1, n + 1)]
-        + [f"b{i}" for i in range(1, n + 1)]
-        + [f"c{i}" for i in range(1, n + 1)]
-    )
+    g = Graph()
+    # a[i], b[i], c[i]: the vertex indices of a_i, b_i, c_i
+    a, b, c = ({i: g.add_vertex(f"{row}{i}") for i in range(1, n + 1)} for row in "abc")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            g.add_edge(f"a{i}", f"b{j}")
+            g.link(a[i], b[j])
     for i in range(1, t + 1):
-        g.add_edge(f"a{i}", f"c{i}")
-        g.add_edge(f"b{i}", f"c{i}")
+        g.link(a[i], c[i])
+        g.link(b[i], c[i])
     for i in range(t + 1, n + 1):
         m = n + t + 1 - i
-        g.add_edge(f"a{i}", f"c{m}")
-        g.add_edge(f"b{i}", f"c{m}")
+        g.link(a[i], c[m])
+        g.link(b[i], c[m])
     for i in range(t + 1, (n + t) // 2 + 1):
         m = n + t + 1 - i
-        g.add_edge(f"a{i}", f"a{m}")
-        g.add_edge(f"b{i}", f"b{m}")
-        g.add_edge(f"c{i}", f"c{m}")
+        g.link(a[i], a[m])
+        g.link(b[i], b[m])
+        g.link(c[i], c[m])
     return g
 
 
@@ -81,22 +79,23 @@ def build_shu(g: Graph, t: int, n: int) -> Graph:
     if g.has_vertex("z"):
         raise ValueError('input graph must not use the reserved label "z"')
 
-    base = list(g.vertices)
-    out = Graph(
-        copy_label(v, i) for i in range(1, n + 1) for v in base + ["z"]
-    )
-    for u, v in g.edges():
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                out.add_edge(copy_label(u, i), copy_label(v, j))
-    full = base + ["z"]
+    full = g.labels + ["z"]
+    out = Graph()
+    # at[i][x]: the vertex index of full[x] in copy i
+    at = {i: [out.add_vertex(copy_label(v, i)) for v in full] for i in range(1, n + 1)}
+    for x, row in enumerate(g.adj):
+        for y in row:
+            if x < y:
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        out.link(at[i][x], at[j][y])
     for i in range(1, t + 1):
         for x in range(len(full)):
             for y in range(x + 1, len(full)):
-                out.add_edge(copy_label(full[x], i), copy_label(full[y], i))
+                out.link(at[i][x], at[i][y])
     for i in range(t + 1, (n + t) // 2 + 1):
         m = n + t + 1 - i
-        for x in full:
-            for y in full:
-                out.add_edge(copy_label(x, i), copy_label(y, m))
+        for x in at[i]:
+            for y in at[m]:
+                out.link(x, y)
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal
 
 from . import _kernels
-from .cleangraph import cl2, idempotent_graph, legacy_degree, pair_label, predicted_degree
+from .cleangraph import _ring, cl2, idempotent_graph, legacy_degree, pair_label, predicted_degree
 from .graph import (
     ComponentSummary,
     Graph,
@@ -30,7 +30,7 @@ from .graph import (
     find_isomorphism,
     verify_mapping,
 )
-from .modring import ModRing, factorize, is_prime
+from .modring import ModRing, is_prime
 from .shuriken import build_sh, build_shu, copy_label, hub_label, is_null
 
 # graphs at or under this size also get the generic searcher pass
@@ -93,10 +93,6 @@ def _timed(theorem_id: str):
         return verifier
 
     return decorate
-
-
-def _ring(r: ModRing | int) -> ModRing:
-    return factorize(r) if isinstance(r, int) else r
 
 
 def _cl2_pairs(ring: ModRing) -> list[tuple[int, int]]:
@@ -240,6 +236,30 @@ def _cross_check(g: Graph, h: Graph) -> tuple[Status, str, dict]:
     )
 
 
+def _witness_outcome(
+    instance: str,
+    left: Graph,
+    right: Graph,
+    mapping: dict[str, str],
+    evidence: dict,
+    onto: str,
+    pass_evidence: dict | None = None,
+) -> _Outcome:
+    """Check the proof's witness mapping from left onto right, then
+    cross-check with the searcher.
+
+    ``evidence`` goes with every outcome, ``pass_evidence`` only with one
+    whose witness holds; ``onto`` names right in a passing detail.
+    """
+    if not verify_mapping(left, right, mapping):
+        return instance, "fail", "constructed witness is not an isomorphism", evidence
+    status, note, extra = _cross_check(left, right)
+    detail = f"witness onto {onto} verified; {note}"
+    if status != "pass":
+        detail = f"witness verified but {note}"
+    return instance, status, detail, {**evidence, **(pass_evidence or {}), **extra}
+
+
 def _two_prime_branch_t(p: int, np_: int, q: int, mq: int) -> int:
     """Predicted self-inverse unit count for Z_{p^np * q^mq}."""
 
@@ -286,19 +306,8 @@ def verify_pq(p: int, np_: int, q: int, mq: int) -> _Outcome:
         mapping[pair_label(e_b, u)] = f"b{i}"
         mapping[pair_label(1, u)] = f"c{i}"
 
-    if not verify_mapping(left, right, mapping):
-        return (
-            instance,
-            "fail",
-            "constructed witness is not an isomorphism",
-            {"t": t, "k": k, "vertices": left.num_vertices},
-        )
-    status, note, extra = _cross_check(left, right)
-    evidence = {"t": t, "k": k, "vertices": left.num_vertices, **extra}
-    detail = f"witness onto Sh(t={t}, n={k}) verified; {note}"
-    if status != "pass":
-        detail = f"witness verified but {note}"
-    return instance, status, detail, evidence
+    evidence = {"t": t, "k": k, "vertices": left.num_vertices}
+    return _witness_outcome(instance, left, right, mapping, evidence, f"Sh(t={t}, n={k})")
 
 
 def verify_pq_by_modulus(n: ModRing | int) -> TheoremReport:
@@ -328,28 +337,10 @@ def verify_general(n: ModRing | int) -> _Outcome:
             target = hub_label(i) if e == 1 else copy_label(str(e), i)
             mapping[pair_label(e, u)] = target
 
-    if not verify_mapping(left, right, mapping):
-        return (
-            instance,
-            "fail",
-            "constructed witness is not an isomorphism",
-            {"t": t, "k": k, "vertices": left.num_vertices},
-        )
-    status, note, extra = _cross_check(left, right)
-    evidence = {
-        "t": t,
-        "k": k,
-        "vertices": left.num_vertices,
-        "edges": left.num_edges,
-        **extra,
-    }
-    detail = (
-        f"witness onto Shu(t={t}, n={k}) over the {base.num_vertices}-vertex "
-        f"idempotent graph verified; {note}"
-    )
-    if status != "pass":
-        detail = f"witness verified but {note}"
-    return instance, status, detail, evidence
+    evidence = {"t": t, "k": k, "vertices": left.num_vertices}
+    onto = f"Shu(t={t}, n={k}) over the {base.num_vertices}-vertex idempotent graph"
+    edges = {"edges": left.num_edges}
+    return _witness_outcome(instance, left, right, mapping, evidence, onto, edges)
 
 
 # -- self-inverse unit count ----------------------------------------------------
@@ -550,6 +541,6 @@ def sweep(ns: Iterable[int], theorem_ids: Iterable[str] | None = None) -> list[T
     theorems = [NUMERIC_THEOREMS[i] for i in ids]
     reports = []
     for n in sorted(set(ns)):
-        ring = factorize(n)
+        ring = _ring(n)
         reports += [theorem.run(ring) for theorem in theorems if theorem.applies(ring)]
     return reports

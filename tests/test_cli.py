@@ -95,6 +95,15 @@ def test_export_bad_input(capsys, monkeypatch):
     assert "cannot parse" in err
 
 
+def test_export_rejects_a_label_ending_in_a_backslash(capsys, monkeypatch):
+    # written as DOT, the backslash would escape the label's closing quote
+    monkeypatch.setattr("sys.stdin", io.StringIO("v a\\\n"))
+    code, out, err = run(capsys, "export", "--format", "dot")
+    assert code == 2
+    assert out == ""
+    assert "backslash" in err
+
+
 def test_verify_single_pass(capsys):
     code, out, _ = run(capsys, "verify", "degree", "10", "--stable")
     assert code == 0

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cleangraphs.cleangraph import cl2, idempotent_graph
 from cleangraphs.graph import (
     ComponentSummary,
     Graph,
@@ -21,6 +22,8 @@ from cleangraphs.graph import (
     path_graph,
     verify_mapping,
 )
+from cleangraphs.modring import factorize
+from cleangraphs.shuriken import build_shu
 
 
 @st.composite
@@ -206,6 +209,75 @@ def test_searcher_finds_witness_for_any_relabeling(g, rng):
     assert verify_mapping(g, h, res.witness)
 
 
+# truncated tetrahedron: cubic on 12 vertices, so degrees alone split nothing
+TRUNCATED_TETRAHEDRON = [
+    (1, 2), (1, 3), (2, 3), (1, 4), (2, 7), (3, 10), (4, 5), (4, 6), (5, 6),
+    (5, 8), (6, 11), (7, 8), (7, 9), (8, 9), (9, 12), (10, 11), (10, 12), (11, 12),
+]
+SHUFFLED = [7, 12, 3, 10, 1, 5, 9, 2, 11, 6, 4, 8]
+PERMUTED = {1: 9, 2: 4, 3: 11, 4: 1, 5: 12, 6: 7, 7: 2, 8: 10, 9: 6, 10: 3, 11: 8, 12: 5}
+
+
+def _truncated_tetrahedra():
+    """Two labellings of the truncated tetrahedron: v1..v12 added in a
+    shuffled order (so label order, insertion order and numeric order all
+    differ), and a relabelled copy added in order."""
+    g = Graph([f"v{i}" for i in SHUFFLED], [(f"v{a}", f"v{b}") for a, b in TRUNCATED_TETRAHEDRON])
+    h = Graph(
+        [f"v{i}" for i in range(1, 13)],
+        [(f"v{PERMUTED[a]}", f"v{PERMUTED[b]}") for a, b in TRUNCATED_TETRAHEDRON],
+    )
+    return g, h
+
+
+def test_searcher_result_is_pinned_on_shuffled_labels():
+    # captured before vertices were stored by index; the search order and
+    # the candidate order break ties by label, never by insertion order
+    g, h = _truncated_tetrahedra()
+    res = find_isomorphism(g, h)
+    assert res.nodes_expanded == 43
+    assert res.witness.pairs == (
+        ("v1", "v1"), ("v10", "v8"), ("v11", "v3"), ("v12", "v5"), ("v2", "v12"),
+        ("v3", "v7"), ("v4", "v9"), ("v5", "v4"), ("v6", "v11"), ("v7", "v10"),
+        ("v8", "v2"), ("v9", "v6"),
+    )
+    res = find_isomorphism(h, g)
+    assert res.nodes_expanded == 48
+    assert res.witness.pairs == (
+        ("v1", "v1"), ("v10", "v7"), ("v11", "v6"), ("v12", "v2"), ("v2", "v8"),
+        ("v3", "v11"), ("v4", "v5"), ("v5", "v12"), ("v6", "v9"), ("v7", "v3"),
+        ("v8", "v10"), ("v9", "v4"),
+    )
+
+
+def test_searcher_result_is_pinned_on_pair_labels():
+    # cl2(Z_22) stores "(1,3)" before "(1,13)" but sorts it after; the
+    # witness sends (e, u) to copy[u] of the idempotent e (hub for e = 1)
+    left = cl2(22)
+    ring = factorize(22)
+    part = ring.unit_partition()
+    right = build_shu(idempotent_graph(ring), part.t, part.k)
+    res = find_isomorphism(left, right)
+    assert res.nodes_expanded == 73
+    copy = {1: 1, 3: 9, 5: 6, 7: 8, 9: 7, 13: 10, 15: 4, 17: 3, 19: 5, 21: 2}
+    images = {1: "z", 11: "11", 12: "12"}
+    assert res.witness.pairs == tuple(
+        sorted((f"({e},{u})", f"{images[e]}@{i}") for e in images for u, i in copy.items())
+    )
+
+
+@given(small_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_insertion_order_does_not_reach_the_searcher(g, rng):
+    shuffled = list(g.vertices)
+    rng.shuffle(shuffled)
+    same = Graph(shuffled, g.edges())
+    names = [f"w{i}" for i in range(g.num_vertices)]
+    rng.shuffle(names)
+    h = g.relabel(dict(zip(g.vertices, names)))
+    assert find_isomorphism(same, h) == find_isomorphism(g, h)
+
+
 def test_verify_mapping_rejects_bad_maps():
     g = path_graph(3)
     h = path_graph(3)
@@ -264,6 +336,12 @@ def test_export_rejects_unknown_format_and_bad_labels():
         export(fixture_graph(), "gml")
     with pytest.raises(ValueError):
         export(Graph(["a b"]), "dot")
+    # a trailing backslash would escape the closing quote in DOT, and an
+    # empty label writes a "v " line that parse_edgelist cannot read
+    for bad in ("a\\", ""):
+        for fmt in ("dot", "edgelist"):
+            with pytest.raises(ValueError):
+                export(Graph([bad]), fmt)
 
 
 def test_parse_edgelist_handles_comments_and_implicit_vertices():

@@ -1,0 +1,82 @@
+"""The searcher and the component split against networkx as an
+independent reference (VF2++: Juttner & Madarasi, Discrete Applied
+Mathematics, 2018).  Test-only: skipped where networkx is missing."""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cleangraphs.graph import Graph, disjoint_union, find_isomorphism, verify_mapping
+
+nx = pytest.importorskip("networkx")
+
+
+def to_nx(g: Graph):
+    out = nx.Graph()
+    out.add_nodes_from(g.vertices)
+    out.add_edges_from(g.edges())
+    return out
+
+
+@st.composite
+def graphs(draw, k, prefix):
+    labels = [f"{prefix}{i}" for i in range(1, k + 1)]
+    pairs = list(combinations(labels, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph(draw(st.permutations(labels)), chosen)
+
+
+@st.composite
+def graph_pairs(draw, max_vertices=7):
+    """Two graphs on the same number of vertices: either independent, or
+    the second a relabelled, reordered copy of the first."""
+    # from one vertex up: vf2pp_is_isomorphic calls two empty graphs non-isomorphic
+    k = draw(st.integers(min_value=1, max_value=max_vertices))
+    g = draw(graphs(k, "v"))
+    if draw(st.booleans()):
+        return g, draw(graphs(k, "w"))
+    names = draw(st.permutations([f"w{i}" for i in range(1, k + 1)]))
+    h = g.relabel(dict(zip(g.vertices, names)))
+    return g, Graph(draw(st.permutations(list(h.vertices))), h.edges())
+
+
+def cycle(labels):
+    return Graph(labels, [(labels[i], labels[(i + 1) % len(labels)]) for i in range(len(labels))])
+
+
+def c6_and_two_triangles():
+    return cycle(["u0", "u1", "u2", "u3", "u4", "u5"]), disjoint_union([cycle(["a", "b", "c"])] * 2)
+
+
+@given(graph_pairs())
+@settings(max_examples=150, deadline=None)
+def test_searcher_verdict_matches_vf2pp(pair):
+    g, h = pair
+    res = find_isomorphism(g, h)
+    assert res.decided
+    assert (res.status == "isomorphic") == nx.vf2pp_is_isomorphic(to_nx(g), to_nx(h))
+    if res.witness is not None:
+        assert verify_mapping(g, h, res.witness)
+
+
+@given(graphs(8, "v"))
+@settings(max_examples=100, deadline=None)
+def test_components_match_networkx(g):
+    ours = {frozenset(c.vertices) for c in g.connected_components()}
+    assert ours == {frozenset(c) for c in nx.connected_components(to_nx(g))}
+    assert g.is_connected() == (g.num_vertices == 0 or nx.is_connected(to_nx(g)))
+
+
+def test_refinement_blind_pair_is_decided_correctly():
+    # both 2-regular on 6 vertices: colour refinement leaves one class
+    c6, two_c3 = c6_and_two_triangles()
+    assert not nx.vf2pp_is_isomorphic(to_nx(c6), to_nx(two_c3))
+    assert find_isomorphism(c6, two_c3).status == "not_isomorphic"
+
+
+def test_refinement_blind_pair_with_tiny_budget_is_inconclusive():
+    c6, two_c3 = c6_and_two_triangles()
+    res = find_isomorphism(c6, two_c3, budget=1)
+    assert res.status == "inconclusive"
+    assert res.witness is None

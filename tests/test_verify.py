@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cleangraphs import verify as verify_module
-from cleangraphs.graph import complete_graph, empty_graph, path_graph
+from cleangraphs import cleangraph as cleangraph_module, verify as verify_module
+from cleangraphs.graph import Graph, complete_graph, empty_graph, path_graph
 from cleangraphs.verify import (
     TheoremReport,
     format_report,
@@ -133,6 +133,21 @@ def test_inheritance_cases():
     assert r.evidence["results"] == "not_isomorphic"
 
 
+def test_inheritance_searcher_work_is_pinned_on_a_regular_pair():
+    # K3,3 and the triangular prism are both cubic on 6 vertices, so colour
+    # refinement splits neither them nor their shuriken graphs; the node
+    # count was captured before vertices were stored by index
+    k33 = Graph([], [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+    prism = Graph(
+        [],
+        [("x1", "x2"), ("x2", "x3"), ("x3", "x1"), ("y1", "y2"), ("y2", "y3"), ("y3", "y1")]
+        + [("x1", "y1"), ("x2", "y2"), ("x3", "y3")],
+    )
+    r = verify_shu_inheritance(k33, prism, 2, 4)
+    assert r.ok
+    assert r.evidence == {"inputs": "not_isomorphic", "results": "not_isomorphic", "nodes": 31564}
+
+
 def test_inheritance_rejections():
     # disconnected input
     assert verify_shu_inheritance(empty_graph(2), path_graph(2), 2, 4).status == "rejected"
@@ -186,14 +201,16 @@ def test_report_serialization():
 
 
 def test_each_modulus_is_factored_once(monkeypatch):
+    # verify and cleangraph both turn a modulus into a ring through
+    # cleangraph._ring, so its factorize sees every factorization
     calls = []
-    real = verify_module.factorize
+    real = cleangraph_module.factorize
 
     def counting(n):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr("cleangraphs.verify.factorize", counting)
+    monkeypatch.setattr("cleangraphs.cleangraph.factorize", counting)
     assert verify_corollary(360).ok
     assert calls == [360]
     calls.clear()
