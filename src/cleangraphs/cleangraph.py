@@ -36,11 +36,22 @@ def idempotent_graph(r: ModRing | int) -> Graph:
     return g
 
 
+def _pairs(ring: ModRing, idempotents: tuple[int, ...]) -> list[tuple[int, int]]:
+    units = ring.units()
+    return [(e, u) for e in idempotents for u in units]
+
+
+def cl2_pairs(r: ModRing | int) -> list[tuple[int, int]]:
+    """The (e, u) vertices of cl2 in the order cl2 stores them: the
+    pair behind vertex index i is ``cl2_pairs(r)[i]``."""
+    ring = _ring(r)
+    return _pairs(ring, ring.nonzero_idempotents())
+
+
 def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
     """Common pair-scan: vertices (e, u), adjacency ef = 0 or uv = 1."""
     n = ring.modulus
-    units = ring.units()
-    verts = [(e, u) for e in idempotents for u in units]
+    verts = _pairs(ring, idempotents)
     g = Graph(pair_label(e, u) for e, u in verts)
     for i, (e, u) in enumerate(verts):
         for j, (f, v) in enumerate(verts[i + 1 :], start=i + 1):

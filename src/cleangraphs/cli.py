@@ -17,7 +17,7 @@ import sys
 
 from . import verify as verify_mod
 from ._kernels import backend
-from .cleangraph import cl1, cl2, clean_graph, idempotent_graph, legacy_degree, pair_label, predicted_degree
+from .cleangraph import cl1, cl2, cl2_pairs, clean_graph, idempotent_graph, legacy_degree, predicted_degree
 from .graph import EXPORT_FORMATS, export, parse_edgelist
 from .modring import factorize
 from .shuriken import build_sh, build_shu
@@ -54,14 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--t", type=int, help="shuriken parameter t")
     p_build.add_argument("--n", dest="shn", type=int, help="shuriken parameter n")
     p_build.add_argument("--input", help="edge-list file (shu input graph)")
-    p_build.add_argument("--stable", action="store_true", help=argparse.SUPPRESS)
 
     p_export = sub.add_parser(
         "export", help="convert an edge-list graph from stdin to another format"
     )
     p_export.add_argument("--format", required=True, choices=list(EXPORT_FORMATS))
     p_export.add_argument("--out", help="output file (default stdout)")
-    p_export.add_argument("--stable", action="store_true", help=argparse.SUPPRESS)
 
     p_deg = sub.add_parser(
         "degrees", help="per-vertex degree table for cl2(Z_n) with both formulas"
@@ -169,18 +167,14 @@ def _cmd_degrees(args) -> int:
     ring = factorize(args.n)
     g = cl2(ring)
     print(f"cl2(Z_{args.n}): vertex (e,u), actual degree, both formulas")
-    for e in ring.nonzero_idempotents():
-        for u in ring.units():
-            actual = g.degree(pair_label(e, u))
-            corrected = predicted_degree(ring, e, u)
-            legacy = legacy_degree(ring, e, u)
-            flag = " MISMATCH" if legacy != actual else ""
-            if corrected != actual:
-                flag += " CORRECTED-MISMATCH"
-            print(
-                f"({e},{u}): actual={actual} corrected={corrected} "
-                f"legacy={legacy}{flag}"
-            )
+    for (e, u), row in zip(cl2_pairs(ring), g.adj):
+        actual = len(row)
+        corrected = predicted_degree(ring, e, u)
+        legacy = legacy_degree(ring, e, u)
+        flag = " MISMATCH" if legacy != actual else ""
+        if corrected != actual:
+            flag += " CORRECTED-MISMATCH"
+        print(f"({e},{u}): actual={actual} corrected={corrected} legacy={legacy}{flag}")
     return 0
 
 
@@ -238,7 +232,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         elif theorem == "all":
             reports = verify_mod.sweep([args.n])
         else:
-            reports = [_NUMERIC[theorem].check(factorize(args.n))]
+            reports = [_NUMERIC[theorem].run(factorize(args.n))]
 
     if args.json:
         sys.stdout.write(verify_mod.reports_to_json(reports, stable=args.stable))

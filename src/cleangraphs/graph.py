@@ -374,7 +374,8 @@ def find_isomorphism(
     non-isomorphism; exceeding ``budget`` node expansions yields
     ``inconclusive`` instead of a wrong verdict.  Ties in the search
     order and among candidates are broken by label, so the result does
-    not depend on the order the vertices were added in.
+    not depend on the order the vertices were added in.  A witness is
+    returned only once verify_mapping accepts it; RuntimeError otherwise.
     """
     if g.num_vertices != h.num_vertices or g.num_edges != h.num_edges:
         return IsoResult("not_isomorphic", None, 0)
@@ -426,7 +427,8 @@ def find_isomorphism(
             depth += 1
             if depth == k:
                 witness = IsoWitness.from_dict({g.labels[v]: h.labels[image[v]] for v in range(k)})
-                assert verify_mapping(g, h, witness)
+                if not verify_mapping(g, h, witness):
+                    raise RuntimeError("searcher built a witness that is not an isomorphism")
                 return IsoResult("isomorphic", witness, expanded)
             cand_iters.append(iter(by_color.get(cg[order[depth]], [])))
             break

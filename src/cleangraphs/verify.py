@@ -9,7 +9,10 @@ violate a statement's hypotheses come back as "rejected", never "fail":
 a verifier only judges instances the statement actually covers.
 
 The per-modulus statements are listed once, in NUMERIC_THEOREMS; the
-sweep and the command line both read them from there.
+sweep and the command line both read them from there.  Each of their
+verifiers takes the ring (or its modulus) and itself returns "rejected"
+for a modulus its statement does not cover; there is no separate
+applicability test.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal
 
 from . import _kernels
-from .cleangraph import _ring, cl2, idempotent_graph, legacy_degree, pair_label, predicted_degree
+from .cleangraph import (
+    _ring,
+    cl2,
+    cl2_pairs,
+    idempotent_graph,
+    legacy_degree,
+    pair_label,
+    predicted_degree,
+)
 from .graph import (
     ComponentSummary,
     Graph,
@@ -30,7 +41,7 @@ from .graph import (
     find_isomorphism,
     verify_mapping,
 )
-from .modring import ModRing, is_prime
+from .modring import ModRing
 from .shuriken import build_sh, build_shu, copy_label, hub_label, is_null
 
 # graphs at or under this size also get the generic searcher pass
@@ -95,10 +106,6 @@ def _timed(theorem_id: str):
     return decorate
 
 
-def _cl2_pairs(ring: ModRing) -> list[tuple[int, int]]:
-    return [(e, u) for e in ring.nonzero_idempotents() for u in ring.units()]
-
-
 # -- degree formula -----------------------------------------------------------
 
 
@@ -108,8 +115,8 @@ def verify_degree_formula(n: ModRing | int) -> _Outcome:
     ring = _ring(n)
     instance = f"n={ring.modulus}"
     g = cl2(ring)
-    for e, u in _cl2_pairs(ring):
-        actual = g.degree(pair_label(e, u))
+    for (e, u), row in zip(cl2_pairs(ring), g.adj):
+        actual = len(row)
         predicted = predicted_degree(ring, e, u)
         if actual != predicted:
             return (
@@ -135,8 +142,8 @@ def report_counterexample(n: ModRing | int) -> _Outcome:
     g = cl2(ring)
     mismatches = []
     corrected_bad = None
-    for e, u in _cl2_pairs(ring):
-        actual = g.degree(pair_label(e, u))
+    for (e, u), row in zip(cl2_pairs(ring), g.adj):
+        actual = len(row)
         corrected = predicted_degree(ring, e, u)
         legacy = legacy_degree(ring, e, u)
         if legacy != actual:
@@ -182,13 +189,15 @@ def _expected_prime_power_components(p: int, m: int) -> Graph:
 
 
 @_timed("prime_power_components")
-def verify_prime_power(p: int, m: int) -> _Outcome:
+def verify_prime_power(n: ModRing | int) -> _Outcome:
     """cl2(Z_{p^m}) must decompose into the predicted isolated vertices
-    and disjoint edges."""
+    and disjoint edges; rejected unless n is a prime power."""
+    ring = _ring(n)
+    if ring.num_primes != 1:
+        return f"n={ring.modulus}", "rejected", "modulus is not a prime power", {}
+    ((p, m),) = ring.factorization
     instance = f"p={p} m={m}"
-    if not is_prime(p) or m < 1:
-        return instance, "rejected", "requires p prime and m >= 1", {}
-    actual = ComponentSummary.of(cl2(p**m))
+    actual = ComponentSummary.of(cl2(ring))
     expected = ComponentSummary.of(_expected_prime_power_components(p, m))
     if actual == expected:
         return (
@@ -272,17 +281,20 @@ def _two_prime_branch_t(p: int, np_: int, q: int, mq: int) -> int:
 
 
 @_timed("two_prime_isomorphism")
-def verify_pq(p: int, np_: int, q: int, mq: int) -> _Outcome:
-    """cl2(Z_{p^np * q^mq}) against the standalone shuriken graph.
+def verify_pq(n: ModRing | int) -> _Outcome:
+    """cl2(Z_{p^np * q^mq}) against the standalone shuriken graph;
+    rejected unless n has exactly two distinct prime factors.
 
     Builds the proof's bijection: with units laid out u_1..u_k by the
     unit partition, the pair (e, u_i) goes to a_i, b_i or c_i according
     to whether e is the first CRT idempotent, the second, or 1.
     """
+    ring = _ring(n)
+    if ring.num_primes != 2:
+        reason = "modulus must have exactly two distinct prime factors"
+        return f"n={ring.modulus}", "rejected", reason, {}
+    (p, np_), (q, mq) = ring.factorization
     instance = f"p={p}^{np_} q={q}^{mq}"
-    if p == q or not is_prime(p) or not is_prime(q) or np_ < 1 or mq < 1:
-        return instance, "rejected", "requires distinct primes and positive exponents", {}
-    ring = _ring(p**np_ * q**mq)
     part = ring.unit_partition()
     t, k = part.t, part.k
 
@@ -311,9 +323,9 @@ def verify_pq(p: int, np_: int, q: int, mq: int) -> _Outcome:
 
 
 def verify_pq_by_modulus(n: ModRing | int) -> TheoremReport:
-    """verify_pq with (p, np, q, mq) read off the factorization of n;
-    rejected unless n has exactly two distinct prime factors."""
-    return NUMERIC_THEOREMS["two_prime_isomorphism"].check(_ring(n))
+    """The same as verify_pq; the name stays only because the benchmark's
+    tracer (perfbench/tracing.py) lists it."""
+    return verify_pq(n)
 
 
 # -- the general modulus -------------------------------------------------------
@@ -458,20 +470,8 @@ def verify_sh_shu_bridge(t: int, n: int) -> _Outcome:
         mapping[f"a{i}"] = copy_label("v1", i)
         mapping[f"b{i}"] = copy_label("v2", i)
         mapping[f"c{i}"] = hub_label(i)
-    if not verify_mapping(sh, shu, mapping):
-        return (
-            instance,
-            "fail",
-            "bridge witness is not an isomorphism",
-            {"vertices": sh.num_vertices},
-        )
-    status, note, extra = _cross_check(sh, shu)
-    return (
-        instance,
-        status,
-        f"bridge witness verified; {note}",
-        {"vertices": sh.num_vertices, **extra},
-    )
+    onto = f"Shu(t={t}, n={n}) of a single edge"
+    return _witness_outcome(instance, sh, shu, mapping, {"vertices": sh.num_vertices}, onto)
 
 
 # -- the per-modulus registry and sweeps ----------------------------------------
@@ -484,21 +484,13 @@ class NumericTheorem:
     ``cli_name`` is its ``verify`` choice on the command line (None when
     only ``all`` runs it).  ``run`` takes the already factored ring and
     looks its verifier up by name at call time, so a rebound module
-    attribute (a tracer, a test double) is the one that runs.
+    attribute (a tracer, a test double) is the one that runs; the
+    verifier rejects a modulus its statement does not cover.
     """
 
     theorem_id: str
     cli_name: str | None
     run: Callable[[ModRing], TheoremReport]
-    applies: Callable[[ModRing], bool] = lambda ring: True
-    rejection: str = ""
-
-    def check(self, ring: ModRing) -> TheoremReport:
-        """The runner's report, or "rejected" when the statement does not
-        cover the modulus."""
-        if self.applies(ring):
-            return self.run(ring)
-        return TheoremReport(self.theorem_id, f"n={ring.modulus}", "rejected", self.rejection)
 
 
 # keyed by report id, in the order the command line lists the choices
@@ -507,19 +499,9 @@ NUMERIC_THEOREMS = {
     for theorem in (
         NumericTheorem("degree_formula", "degree", lambda ring: verify_degree_formula(ring)),
         NumericTheorem(
-            "prime_power_components",
-            "prime-power",
-            lambda ring: verify_prime_power(*ring.factorization[0]),
-            lambda ring: ring.num_primes == 1,
-            "modulus is not a prime power",
+            "prime_power_components", "prime-power", lambda ring: verify_prime_power(ring)
         ),
-        NumericTheorem(
-            "two_prime_isomorphism",
-            "pq",
-            lambda ring: verify_pq(*ring.factorization[0], *ring.factorization[1]),
-            lambda ring: ring.num_primes == 2,
-            "modulus must have exactly two distinct prime factors",
-        ),
+        NumericTheorem("two_prime_isomorphism", "pq", lambda ring: verify_pq(ring)),
         NumericTheorem("master_isomorphism", "general", lambda ring: verify_general(ring)),
         NumericTheorem("self_inverse_count", "corollary", lambda ring: verify_corollary(ring)),
         NumericTheorem("legacy_degree_report", None, lambda ring: report_counterexample(ring)),
@@ -530,9 +512,10 @@ NUMERIC_THEOREMS = {
 def sweep(ns: Iterable[int], theorem_ids: Iterable[str] | None = None) -> list[TheoremReport]:
     """Run the selected per-modulus verifiers over a range of moduli.
 
-    Inapplicable combinations (a prime-power statement on a modulus with
-    two factors, and so on) are skipped, not reported.  Results are
-    ordered by (n, theorem_id).  Each modulus is factored once.
+    A statement's rejection of a modulus it does not cover (a
+    prime-power statement on a modulus with two factors, and so on) is
+    dropped, not reported.  Results are ordered by (n, theorem_id).
+    Each modulus is factored once.
     """
     ids = sorted(NUMERIC_THEOREMS) if theorem_ids is None else sorted(set(theorem_ids))
     unknown = [i for i in ids if i not in NUMERIC_THEOREMS]
@@ -542,5 +525,6 @@ def sweep(ns: Iterable[int], theorem_ids: Iterable[str] | None = None) -> list[T
     reports = []
     for n in sorted(set(ns)):
         ring = _ring(n)
-        reports += [theorem.run(ring) for theorem in theorems if theorem.applies(ring)]
+        runs = [theorem.run(ring) for theorem in theorems]
+        reports += [r for r in runs if r.status != "rejected"]
     return reports

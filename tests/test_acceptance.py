@@ -60,7 +60,7 @@ def test_c03_prime_power_components():
             continue
         m = 1
         while p**m <= 200:
-            assert verify_prime_power(p, m).ok, (p, m)
+            assert verify_prime_power(p**m).ok, (p, m)
             checked += 1
             m += 1
     # the three named shapes, pinned explicitly
@@ -213,9 +213,9 @@ def test_c11_export_golden_stability(capsys, monkeypatch):
         files += 1
         for fmt, ext in (("dot", "dot"), ("json", "json"), ("incidence", "csv")):
             monkeypatch.setattr("sys.stdin", io.StringIO(out))
-            code, conv, _ = run(capsys, "export", "--format", fmt, "--stable")
+            code, conv, _ = run(capsys, "export", "--format", fmt)
             assert code == 0
             assert conv.encode() == (GOLDEN / f"{base}.{ext}").read_bytes()
             files += 1
     assert files == 12
-    print("c11 all 12 golden exports byte-identical under --stable")
+    print("c11 all 12 golden exports byte-identical")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cleangraphs.cleangraph import (
     cl1,
     cl2,
+    cl2_pairs,
     clean_graph,
     idempotent_graph,
     legacy_degree,
@@ -129,6 +130,11 @@ def test_degree_formula_against_built_graph(n):
     for e in ring.nonzero_idempotents():
         for u in ring.units():
             assert g.degree(pair_label(e, u)) == predicted_degree(ring, e, u)
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 210])
+def test_cl2_pairs_follow_the_stored_vertex_order(n):
+    assert cl2(n).labels == [pair_label(e, u) for e, u in cl2_pairs(n)]
 
 
 def test_accepts_ring_and_int_arguments():

@@ -257,6 +257,13 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # build and export write deterministic output and take no --stable
+    for argv in ("export --format dot --stable", "build cl2 6 --stable"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stable" in capsys.readouterr().err
 
 
 def test_backend_command(capsys):
@@ -305,7 +312,7 @@ def test_export_matches_golden(capsys, monkeypatch, base, fmt, ext):
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(_golden_bytes(f"{base}.edgelist").decode())
     )
-    code, out, _ = run(capsys, "export", "--format", fmt, "--stable")
+    code, out, _ = run(capsys, "export", "--format", fmt)
     assert code == 0
     assert out.encode() == _golden_bytes(f"{base}.{ext}")
 

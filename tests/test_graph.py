@@ -197,6 +197,15 @@ def test_find_isomorphism_budget_exhaustion():
     assert res.nodes_expanded > 3
 
 
+def test_searcher_never_returns_an_unverified_witness(monkeypatch):
+    # an explicit check, not an assert that python -O would strip
+    monkeypatch.setattr("cleangraphs.graph.verify_mapping", lambda g, h, witness: False)
+    g = complete_graph(4)
+    h = g.relabel({"v1": "a", "v2": "b", "v3": "c", "v4": "d"})
+    with pytest.raises(RuntimeError, match="not an isomorphism"):
+        find_isomorphism(g, h)
+
+
 @given(small_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_searcher_finds_witness_for_any_relabeling(g, rng):

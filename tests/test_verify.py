@@ -57,22 +57,24 @@ def test_counterexample_report_nonempty_for_15():
 
 
 def test_prime_power_branches():
-    assert verify_prime_power(2, 1).ok
-    assert verify_prime_power(2, 2).ok
-    assert verify_prime_power(2, 3).ok
-    assert verify_prime_power(3, 2).ok
-    r = verify_prime_power(5, 2)
+    assert verify_prime_power(2).ok
+    assert verify_prime_power(4).ok
+    assert verify_prime_power(8).ok
+    assert verify_prime_power(9).ok
+    r = verify_prime_power(25)
     assert r.ok
     assert "9 x (2v,1e)" in r.evidence["components"]
 
 
 def test_prime_power_rejects_composite_base():
-    assert verify_prime_power(6, 1).status == "rejected"
-    assert verify_prime_power(3, 0).status == "rejected"
+    r = verify_prime_power(6)
+    assert (r.status, r.instance, r.detail) == ("rejected", "n=6", "modulus is not a prime power")
+    with pytest.raises(ValueError, match="modulus"):
+        verify_prime_power(1)
 
 
 def test_pq_witness_and_branch():
-    r = verify_pq(2, 1, 5, 1)
+    r = verify_pq(10)
     assert r.ok
     assert r.evidence["t"] == 2
     assert r.evidence["k"] == 4
@@ -80,14 +82,18 @@ def test_pq_witness_and_branch():
 
 
 def test_pq_argument_order_does_not_matter():
-    assert verify_pq(5, 1, 2, 1).ok
-    assert verify_pq(3, 1, 2, 2).ok
+    # the primes come off the factorization, smaller first
+    for n, instance in ((10, "p=2^1 q=5^1"), (12, "p=2^2 q=3^1")):
+        r = verify_pq(n)
+        assert r.ok
+        assert r.instance == instance
 
 
 def test_pq_rejects_bad_input():
-    assert verify_pq(3, 1, 3, 1).status == "rejected"
-    assert verify_pq(4, 1, 5, 1).status == "rejected"
-    assert verify_pq(2, 0, 5, 1).status == "rejected"
+    for n in (9, 30, 5):
+        r = verify_pq(n)
+        assert (r.status, r.instance) == ("rejected", f"n={n}")
+        assert r.detail == "modulus must have exactly two distinct prime factors"
 
 
 def test_pq_by_modulus():
@@ -219,6 +225,18 @@ def test_each_modulus_is_factored_once(monkeypatch):
     assert [r.theorem_id for r in reports] == ids
     assert all(r.ok for r in reports)
     assert calls == [360]
+    # every statement, on a two-prime and on a prime-power modulus
+    for n, covered in ((72, "two_prime_isomorphism"), (49, "prime_power_components")):
+        calls.clear()
+        reports = sweep([n])
+        assert covered in [r.theorem_id for r in reports]
+        assert all(r.ok for r in reports)
+        assert calls == [n]
+    for n, verifier in ((72, verify_pq), (49, verify_prime_power)):
+        calls.clear()
+        ring = cleangraph_module.factorize(n)
+        assert verifier(ring).ok
+        assert calls == [n]
 
 
 def test_benchmark_tracer_attributes_every_numeric_theorem(monkeypatch):
