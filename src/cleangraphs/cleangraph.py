@@ -5,6 +5,11 @@ idempotents, the clean graph on all (idempotent, unit) pairs, and its
 two induced pieces cl1 (zero idempotent) and cl2 (nonzero idempotent).
 cl2 carries essentially all the structure and is where the degree
 formula lives.
+
+The pair graphs are built row by row from the defining rule "e*f = 0
+or u*v = 1", split at its OR: which idempotent blocks annihilate e, and
+which unit is the inverse of u.  The literal scan over every vertex pair
+is kept in the tests as the reference these builders must match.
 """
 
 from __future__ import annotations
@@ -36,27 +41,41 @@ def idempotent_graph(r: ModRing | int) -> Graph:
     return g
 
 
-def _pairs(ring: ModRing, idempotents: tuple[int, ...]) -> list[tuple[int, int]]:
-    units = ring.units()
-    return [(e, u) for e in idempotents for u in units]
-
-
 def cl2_pairs(r: ModRing | int) -> list[tuple[int, int]]:
     """The (e, u) vertices of cl2 in the order cl2 stores them: the
     pair behind vertex index i is ``cl2_pairs(r)[i]``."""
     ring = _ring(r)
-    return _pairs(ring, ring.nonzero_idempotents())
+    units = ring.units()
+    return [(e, u) for e in ring.nonzero_idempotents() for u in units]
 
 
 def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
-    """Common pair-scan: vertices (e, u), adjacency ef = 0 or uv = 1."""
+    """Vertices (e, u), one block of units per idempotent; adjacency
+    ef = 0 or uv = 1.
+
+    The rule is an OR of an idempotent relation and a unit relation, so
+    each row is built whole instead of testing every pair: the row of
+    (e, u) is every block whose f has e*f = 0, plus the column of the
+    inverse of u in every block, minus the vertex itself.
+    """
     n = ring.modulus
-    verts = _pairs(ring, idempotents)
-    g = Graph(pair_label(e, u) for e, u in verts)
-    for i, (e, u) in enumerate(verts):
-        for j, (f, v) in enumerate(verts[i + 1 :], start=i + 1):
-            if e * f % n == 0 or u * v % n == 1:
-                g.link(i, j)
+    units = ring.units()
+    m = len(units)
+    size = m * len(idempotents)
+    g = Graph(pair_label(e, u) for e in idempotents for u in units)
+    column = {u: c for c, u in enumerate(units)}
+    inverse_column = [column[pow(u, -1, n)] for u in units]
+    adj: list[set[int]] = []
+    for e in idempotents:
+        block: set[int] = set()
+        for b, f in enumerate(idempotents):
+            if e * f % n == 0:
+                block.update(range(b * m, (b + 1) * m))
+        for c in inverse_column:
+            row = block.union(range(c, size, m))
+            row.discard(len(adj))
+            adj.append(row)
+    g.adj = adj
     return g
 
 

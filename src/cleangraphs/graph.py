@@ -497,15 +497,25 @@ def parse_edgelist(text: str) -> Graph:
     plain two-column edge files load too.
     """
     g = Graph()
+    index, adj = g.index, g.adj
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
-        if fields[0] == "v" and len(fields) == 2:
+        if fields[0] == "e" and len(fields) == 3:
+            _, a, b = fields
+            if a == b:
+                raise ValueError(f"self-loop at {a!r} not allowed")
+            i = index.get(a)
+            if i is None:
+                i = g.add_vertex(a)
+            j = index.get(b)
+            if j is None:
+                j = g.add_vertex(b)
+            adj[i].add(j)
+            adj[j].add(i)
+        elif fields[0] == "v" and len(fields) == 2:
             g.add_vertex(fields[1])
-        elif fields[0] == "e" and len(fields) == 3:
-            g.add_edge(fields[1], fields[2])
         else:
             raise ValueError(f"line {ln}: cannot parse {raw!r}")
     return g

@@ -80,22 +80,18 @@ def build_shu(g: Graph, t: int, n: int) -> Graph:
         raise ValueError('input graph must not use the reserved label "z"')
 
     full = g.labels + ["z"]
-    out = Graph()
-    # at[i][x]: the vertex index of full[x] in copy i
-    at = {i: [out.add_vertex(copy_label(v, i)) for v in full] for i in range(1, n + 1)}
-    for x, row in enumerate(g.adj):
-        for y in row:
-            if x < y:
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        out.link(at[i][x], at[j][y])
-    for i in range(1, t + 1):
-        for x in range(len(full)):
-            for y in range(x + 1, len(full)):
-                out.link(at[i][x], at[i][y])
-    for i in range(t + 1, (n + t) // 2 + 1):
-        m = n + t + 1 - i
-        for x in at[i]:
-            for y in at[m]:
-                out.link(x, y)
+    w = len(full)
+    # vertex x of copy i (x = w - 1 the hub) has index (i - 1) * w + x
+    out = Graph(copy_label(v, i) for i in range(1, n + 1) for v in full)
+    lifted = [{j * w + y for j in range(n) for y in row} for row in g.adj] + [set()]
+    adj: list[set[int]] = []
+    for i in range(1, n + 1):
+        # copy i is completed (i <= t) or joined to its mirror copy
+        c = i if i <= t else n + t + 1 - i
+        whole = range((c - 1) * w, c * w)
+        for x in range(w):
+            row = lifted[x].union(whole)
+            row.discard(len(adj))
+            adj.append(row)
+    out.adj = adj
     return out

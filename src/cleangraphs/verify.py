@@ -344,8 +344,9 @@ def verify_general(n: ModRing | int) -> _Outcome:
     right = build_shu(base, t, k)
 
     mapping = {}
+    idempotents = ring.nonzero_idempotents()
     for i, u in enumerate(part.ordered_units(), start=1):
-        for e in ring.nonzero_idempotents():
+        for e in idempotents:
             target = hub_label(i) if e == 1 else copy_label(str(e), i)
             mapping[pair_label(e, u)] = target
 

@@ -5,6 +5,8 @@ defining predicates (e*f % n == 0, u*v % n == 1) written directly in
 the test helpers below, not from the module under test.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,9 +20,54 @@ from cleangraphs.cleangraph import (
     pair_label,
     predicted_degree,
 )
-from cleangraphs.modring import factorize
+from cleangraphs.graph import Graph, export
+from cleangraphs.modring import ModRing, factorize
 
 moduli = st.integers(min_value=2, max_value=80)
+
+
+def literal_pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
+    """Reference builder: the defining predicate tested on every pair."""
+    n = ring.modulus
+    units = ring.units()
+    verts = [(e, u) for e in idempotents for u in units]
+    g = Graph(pair_label(e, u) for e, u in verts)
+    for i, (e, u) in enumerate(verts):
+        for j, (f, v) in enumerate(verts[i + 1 :], start=i + 1):
+            if e * f % n == 0 or u * v % n == 1:
+                g.link(i, j)
+    return g
+
+
+def assert_same_store(g: Graph, want: Graph) -> None:
+    assert g.labels == want.labels
+    assert g.index == want.index
+    assert g.adj == want.adj
+
+
+@pytest.mark.parametrize("n", range(2, 301))
+def test_cl2_matches_literal_pair_scan(n):
+    ring = factorize(n)
+    assert_same_store(cl2(ring), literal_pair_graph(ring, ring.nonzero_idempotents()))
+
+
+@pytest.mark.parametrize("n", range(2, 121))
+def test_clean_graph_and_cl1_match_literal_pair_scan(n):
+    ring = factorize(n)
+    assert_same_store(clean_graph(ring), literal_pair_graph(ring, ring.idempotents()))
+    assert_same_store(cl1(ring), literal_pair_graph(ring, (0,)))
+
+
+@pytest.mark.parametrize(
+    "n,digest",
+    [
+        (210, "631a1ba781d0998236a8198acd0ac2a3fe567107d447e9e18675d4c58231a7ca"),
+        (420, "2c61f7e1a7f6b20941d22fdd6fe3ffe2476b79efea14164cbf0e307e7651a426"),
+    ],
+)
+def test_cl2_edgelist_digest(n, digest):
+    text = export(cl2(n), "edgelist")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_idempotent_graph_of_30():

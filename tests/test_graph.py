@@ -361,6 +361,13 @@ def test_parse_edgelist_handles_comments_and_implicit_vertices():
         parse_edgelist("edge x y\n")
 
 
+def test_parse_edgelist_errors_name_the_fault():
+    with pytest.raises(ValueError, match=r"^self-loop at 'a' not allowed$"):
+        parse_edgelist("v a\ne a a\n")
+    with pytest.raises(ValueError, match=r"^line 4: cannot parse 'e x y z'$"):
+        parse_edgelist("# header\nv x\n\ne x y z\n")
+
+
 @given(small_graphs())
 def test_edgelist_round_trip(g):
     assert parse_edgelist(export(g, "edgelist")) == g

@@ -1,10 +1,14 @@
 """Shuriken graph and shuriken operation tests."""
 
+import hashlib
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cleangraphs.graph import complete_graph, empty_graph, path_graph
-from cleangraphs.shuriken import build_sh, build_shu, is_null
+from cleangraphs.cleangraph import idempotent_graph
+from cleangraphs.graph import Graph, complete_graph, empty_graph, export, path_graph
+from cleangraphs.shuriken import build_sh, build_shu, copy_label, is_null
 
 # valid standalone parameters: t a power of two dividing n, n - t even
 SH_PARAMS = [(1, 1), (1, 3), (1, 5), (1, 7), (2, 2), (2, 4), (2, 6), (2, 8), (4, 4), (4, 8), (8, 8)]
@@ -117,6 +121,58 @@ def test_shu_vertex_count_and_degrees(t, extra, k):
     if k and t >= 1:
         assert shu.degree("z@1") == k
         assert shu.degree("v1@1") == n * (k - 1) + 1
+
+
+def literal_shu(g: Graph, t: int, n: int) -> Graph:
+    """Reference builder: each lifted edge, clique and join linked one pair
+    at a time."""
+    full = g.labels + ["z"]
+    out = Graph()
+    # at[i][x]: the vertex index of full[x] in copy i
+    at = {i: [out.add_vertex(copy_label(v, i)) for v in full] for i in range(1, n + 1)}
+    for x, row in enumerate(g.adj):
+        for y in row:
+            if x < y:
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        out.link(at[i][x], at[j][y])
+    for i in range(1, t + 1):
+        for x in range(len(full)):
+            for y in range(x + 1, len(full)):
+                out.link(at[i][x], at[i][y])
+    for i in range(t + 1, (n + t) // 2 + 1):
+        m = n + t + 1 - i
+        for x in at[i]:
+            for y in at[m]:
+                out.link(x, y)
+    return out
+
+
+@st.composite
+def small_graphs(draw) -> Graph:
+    k = draw(st.integers(min_value=0, max_value=7))
+    labels = [f"v{i}" for i in range(1, k + 1)]
+    pairs = list(combinations(labels, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph(labels, chosen)
+
+
+@given(small_graphs(), st.integers(min_value=1, max_value=3), st.sampled_from([0, 2, 4]))
+@settings(max_examples=150, deadline=None)
+def test_shu_matches_literal_builder(g, t, extra):
+    # extra = n - t: 0 gives t = n, and t = 1 is drawn too
+    n = t + extra
+    shu, want = build_shu(g, t, n), literal_shu(g, t, n)
+    assert shu.labels == want.labels
+    assert shu.adj == want.adj
+
+
+def test_shu_of_idempotent_graph_edgelist_digest():
+    # Shu(t=8, n=48) of I(Z_210): the right-hand side of the master
+    # isomorphism at n = 210
+    text = export(build_shu(idempotent_graph(210), 8, 48), "edgelist")
+    digest = "67a2eaa5ae355d7f04b50b4e78eac1f6526e972cea0a33e3b5de5f4ed19cb96b"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_is_null():
