@@ -4,7 +4,8 @@ Three related constructions: the idempotent graph on the nontrivial
 idempotents, the clean graph on all (idempotent, unit) pairs, and its
 two induced pieces cl1 (zero idempotent) and cl2 (nonzero idempotent).
 cl2 carries essentially all the structure and is where the degree
-formula lives.
+formula lives: ``predicted_degree`` and ``legacy_degree`` state it per
+vertex, ``closed_form_degrees`` tabulates it once per idempotent block.
 
 The pair graphs are built row by row from the defining rule "e*f = 0
 or u*v = 1", split at its OR: which idempotent blocks annihilate e, and
@@ -132,3 +133,25 @@ def legacy_degree(r: ModRing | int, e: int, u: int) -> int:
     whenever O_e > 0.
     """
     return predicted_degree(r, e, u) + _ring(r).annihilating_idempotent_count(e)
+
+
+def closed_form_degrees(r: ModRing | int) -> list[tuple[int, int]]:
+    """(predicted_degree, legacy_degree) of every cl2 vertex, in the
+    order of ``cl2_pairs(r)``.
+
+    Both forms depend on e only through O_e and on u only through
+    whether u*u = 1, so |Id|, |U| and O_e are computed once per
+    idempotent block and c once per unit.  Like the per-vertex forms
+    this reads the ring, never the graph.
+    """
+    ring = _ring(r)
+    n = ring.modulus
+    num_id = 1 << ring.num_primes
+    num_units = ring.unit_count()
+    cs = [2 if u * u % n == 1 else 1 for u in ring.units()]
+    out: list[tuple[int, int]] = []
+    for e in ring.nonzero_idempotents():
+        o_e = ring.annihilating_idempotent_count(e)
+        block = num_id + o_e * (num_units - 1)
+        out += [(block - c, block - c + o_e) for c in cs]
+    return out

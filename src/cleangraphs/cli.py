@@ -17,7 +17,7 @@ import sys
 
 from . import verify as verify_mod
 from ._kernels import backend
-from .cleangraph import cl1, cl2, cl2_pairs, clean_graph, idempotent_graph, legacy_degree, predicted_degree
+from .cleangraph import cl1, cl2, cl2_pairs, clean_graph, closed_form_degrees, idempotent_graph
 from .graph import EXPORT_FORMATS, export, parse_edgelist
 from .modring import factorize
 from .shuriken import build_sh, build_shu
@@ -167,10 +167,8 @@ def _cmd_degrees(args) -> int:
     ring = factorize(args.n)
     g = cl2(ring)
     print(f"cl2(Z_{args.n}): vertex (e,u), actual degree, both formulas")
-    for (e, u), row in zip(cl2_pairs(ring), g.adj):
+    for (e, u), row, (corrected, legacy) in zip(cl2_pairs(ring), g.adj, closed_form_degrees(ring)):
         actual = len(row)
-        corrected = predicted_degree(ring, e, u)
-        legacy = legacy_degree(ring, e, u)
         flag = " MISMATCH" if legacy != actual else ""
         if corrected != actual:
             flag += " CORRECTED-MISMATCH"

@@ -38,11 +38,13 @@ class Graph:
         vertices: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ) -> None:
-        self.labels: list[str] = []
-        self.index: dict[str, int] = {}
-        self.adj: list[set[int]] = []
-        for v in vertices:
-            self.add_vertex(v)
+        # repeated labels keep their first position
+        self.labels: list[str] = list(dict.fromkeys(vertices))
+        for v in self.labels:
+            if not isinstance(v, str):
+                raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
+        self.index: dict[str, int] = dict(zip(self.labels, range(len(self.labels))))
+        self.adj: list[set[int]] = [set() for _ in self.labels]
         for a, b in edges:
             self.add_edge(a, b)
 
@@ -297,7 +299,10 @@ def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) 
 
     The label mapping becomes one permutation of vertex indices; a
     bijection is an isomorphism when it carries every vertex's
-    neighbour set exactly onto the neighbour set of its image.
+    neighbour set exactly onto the neighbour set of its image.  With
+    equal edge counts it is enough that each image lands inside the
+    image vertex's neighbour set: containment in every row then forces
+    equality.
     """
     if isinstance(mapping, IsoWitness):
         mapping = mapping.as_dict()
@@ -312,7 +317,9 @@ def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) 
         perm[i] = j
     if len(set(perm)) != k:
         return False
-    return all(h.adj[perm[i]] == set(map(perm.__getitem__, row)) for i, row in enumerate(g.adj))
+    return all(
+        h.adj[perm[i]].issuperset(map(perm.__getitem__, row)) for i, row in enumerate(g.adj)
+    )
 
 
 def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:

@@ -9,7 +9,7 @@ inverse-paired couples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import reduce, wraps
 from math import gcd
 
 
@@ -29,13 +29,29 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _computed_once(method):
+    """Run a ModRing enumeration on its first call only; later calls
+    return the same (immutable) result."""
+
+    @wraps(method)
+    def cached(self):
+        result = self._enumerated.get(method.__name__)
+        if result is None:
+            result = self._enumerated[method.__name__] = method(self)
+        return result
+
+    return cached
+
+
 @dataclass(frozen=True)
 class ModRing:
     """The ring Z_n with its factorization and CRT structure cached.
 
     ``factorization`` lists (prime, exponent) with strictly increasing
     primes; ``prime_power_moduli`` are the corresponding p_i**n_i whose
-    product is ``modulus``.
+    product is ``modulus``.  ``idempotents()``, ``units()`` and
+    ``unit_partition()`` are computed on first call and kept, so every
+    caller of one ring shares them.
     """
 
     modulus: int
@@ -43,6 +59,9 @@ class ModRing:
     prime_power_moduli: tuple[int, ...]
     # CRT basis: _crt_basis[i] = 1 mod prime_power_moduli[i], 0 mod the others
     _crt_basis: tuple[int, ...] = field(repr=False, default=())
+    # results of the _computed_once enumerations, by method name; not part
+    # of the ring's value, so a warm ring equals, hashes and prints as a cold one
+    _enumerated: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def num_primes(self) -> int:
@@ -94,6 +113,7 @@ class ModRing:
 
     # -- enumeration ----------------------------------------------------------
 
+    @_computed_once
     def idempotents(self) -> tuple[int, ...]:
         """All e with e*e = e (mod n), ascending.
 
@@ -114,6 +134,7 @@ class ModRing:
     def nontrivial_idempotents(self) -> tuple[int, ...]:
         return tuple(e for e in self.idempotents() if e not in (0, 1))
 
+    @_computed_once
     def units(self) -> tuple[int, ...]:
         """All u coprime to n, ascending, enumerated coordinate-wise."""
         coords: list[tuple[int, ...]] = [()]
@@ -155,6 +176,7 @@ class ModRing:
                 out.append((e, u))
         return out
 
+    @_computed_once
     def unit_partition(self) -> UnitPartition:
         return unit_partition(self)
 

@@ -24,7 +24,8 @@ def build_sh(t: int, n: int) -> Graph:
     Requires t a power of two dividing n with n - t even.  Edges: the
     complete bipartite a x b core, straight spokes a_i c_i and b_i c_i
     for i <= t, crossed spokes a_i and b_i to c at the mirror index for
-    i > t, and mirror matchings within each of the a, b, c rows.
+    i > t, and mirror matchings within each of the a, b, c rows.  Each
+    vertex's row is built whole from that list.
     """
     if t < 1 or t & (t - 1):
         raise ValueError(f"t must be a power of two, got {t}")
@@ -33,24 +34,21 @@ def build_sh(t: int, n: int) -> Graph:
     if (n - t) % 2:
         raise ValueError(f"n - t must be even, got t={t} n={n}")
 
-    g = Graph()
-    # a[i], b[i], c[i]: the vertex indices of a_i, b_i, c_i
-    a, b, c = ({i: g.add_vertex(f"{row}{i}") for i in range(1, n + 1)} for row in "abc")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            g.link(a[i], b[j])
-    for i in range(1, t + 1):
-        g.link(a[i], c[i])
-        g.link(b[i], c[i])
-    for i in range(t + 1, n + 1):
-        m = n + t + 1 - i
-        g.link(a[i], c[m])
-        g.link(b[i], c[m])
-    for i in range(t + 1, (n + t) // 2 + 1):
-        m = n + t + 1 - i
-        g.link(a[i], a[m])
-        g.link(b[i], b[m])
-        g.link(c[i], c[m])
+    # a_i, b_i, c_i have the indices i - 1, n + i - 1, 2n + i - 1, and the
+    # 0-based index x mirrors to mirror[x]
+    g = Graph(f"{row}{i}" for row in "abc" for i in range(1, n + 1))
+    mirror = [x if x < t else n + t - 1 - x for x in range(n)]
+    all_a, all_b = set(range(n)), set(range(n, 2 * n))
+    adj: list[set[int]] = []
+    # an a (b) row: all of b (a), c at the mirror, and a (b) at the mirror above t
+    for own, other in ((0, all_b), (n, all_a)):
+        adj += [
+            other | ({2 * n + m, own + m} if x >= t else {2 * n + m})
+            for x, m in enumerate(mirror)
+        ]
+    # a c row: a and b at the mirror, and c at the mirror above t
+    adj += [{m, n + m, 2 * n + m} if x >= t else {m, n + m} for x, m in enumerate(mirror)]
+    g.adj = adj
     return g
 
 

@@ -15,6 +15,7 @@ from cleangraphs.cleangraph import (
     cl2,
     cl2_pairs,
     clean_graph,
+    closed_form_degrees,
     idempotent_graph,
     legacy_degree,
     pair_label,
@@ -177,6 +178,16 @@ def test_degree_formula_against_built_graph(n):
     for e in ring.nonzero_idempotents():
         for u in ring.units():
             assert g.degree(pair_label(e, u)) == predicted_degree(ring, e, u)
+
+
+@pytest.mark.parametrize("n", range(2, 301))
+def test_closed_form_degrees_match_the_per_vertex_forms(n):
+    # the per-block table against the per-vertex statements it replaces
+    # in the verifiers, vertex for vertex
+    ring = factorize(n)
+    want = [(predicted_degree(ring, e, u), legacy_degree(ring, e, u)) for e, u in cl2_pairs(ring)]
+    assert closed_form_degrees(ring) == want
+    assert closed_form_degrees(n) == want
 
 
 @pytest.mark.parametrize("n", [*range(2, 61), 210])

@@ -317,6 +317,12 @@ def test_export_matches_golden(capsys, monkeypatch, base, fmt, ext):
     assert out.encode() == _golden_bytes(f"{base}.{ext}")
 
 
+def test_degrees_table_matches_golden(capsys):
+    code, out, _ = run(capsys, "degrees", "30")
+    assert code == 0
+    assert out.encode() == _golden_bytes("degrees_30.txt")
+
+
 def test_verify_all_range_matches_golden(capsys):
     code, out, err = run(capsys, "verify", "all", "--range", "2..40", "--stable")
     assert code == 0

@@ -46,6 +46,13 @@ def test_add_and_query():
     assert g.num_edges == 1
 
 
+def test_repeated_labels_keep_their_first_position():
+    g = Graph(["b", "a", "b", "c", "a"], [("c", "d")])
+    assert g.labels == ["b", "a", "c", "d"]
+    assert g.index == {"b": 0, "a": 1, "c": 2, "d": 3}
+    assert g.adj == [set(), set(), {3}, {2}]
+
+
 def test_rejects_self_loop():
     with pytest.raises(ValueError):
         Graph([], [("x", "x")])
@@ -54,6 +61,8 @@ def test_rejects_self_loop():
 def test_rejects_non_string_labels():
     with pytest.raises(TypeError):
         Graph([3])
+    with pytest.raises(TypeError):
+        Graph(["a", "b", 3])
 
 
 def test_stock_graphs():

@@ -195,6 +195,22 @@ def test_partition_sizes(n):
     assert part.t >= 1
 
 
+@pytest.mark.parametrize("n", [2, 30, 360, 1155])
+def test_enumerations_are_computed_once_and_leave_the_ring_value_alone(n):
+    warm, cold = factorize(n), factorize(n)
+    units = warm.units()
+    assert warm.units() is units
+    assert warm.idempotents() is warm.idempotents()
+    assert warm.unit_partition() is warm.unit_partition()
+    assert warm == cold and cold == warm
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold) and str(warm) == str(cold)
+    # the cached results are the ones a cold ring computes
+    assert units == cold.units() == brute_units(n)
+    assert warm.idempotents() == cold.idempotents()
+    assert warm.unit_partition() == unit_partition(cold)
+
+
 # -- closed form for square roots of one ----------------------------------------
 
 

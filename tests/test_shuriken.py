@@ -31,6 +31,47 @@ def test_sh_2_6_shape():
     assert not g.has_edge("a1", "a2")
 
 
+def literal_sh(t: int, n: int) -> Graph:
+    """Reference builder: the core, spokes and matchings linked one edge
+    at a time."""
+    g = Graph()
+    # a[i], b[i], c[i]: the vertex indices of a_i, b_i, c_i
+    a, b, c = ({i: g.add_vertex(f"{row}{i}") for i in range(1, n + 1)} for row in "abc")
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            g.link(a[i], b[j])
+    for i in range(1, t + 1):
+        g.link(a[i], c[i])
+        g.link(b[i], c[i])
+    for i in range(t + 1, n + 1):
+        m = n + t + 1 - i
+        g.link(a[i], c[m])
+        g.link(b[i], c[m])
+    for i in range(t + 1, (n + t) // 2 + 1):
+        m = n + t + 1 - i
+        g.link(a[i], a[m])
+        g.link(b[i], b[m])
+        g.link(c[i], c[m])
+    return g
+
+
+# every valid (t, n) with n <= 64
+ALL_SH_PARAMS = [
+    (t, n)
+    for t in (1, 2, 4, 8, 16, 32, 64)
+    for n in range(t, 65, t)
+    if (n - t) % 2 == 0
+]
+
+
+@pytest.mark.parametrize("t,n", ALL_SH_PARAMS)
+def test_sh_matches_literal_builder(t, n):
+    g, want = build_sh(t, n), literal_sh(t, n)
+    assert g.labels == want.labels
+    assert g.index == want.index
+    assert g.adj == want.adj
+
+
 def test_sh_minimal_is_triangle():
     g = build_sh(1, 1)
     assert g.num_vertices == 3

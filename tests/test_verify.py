@@ -1,5 +1,6 @@
 """Verifier behavior: statuses, evidence, rejection semantics, sweeps."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -192,6 +193,14 @@ def test_sweep_all_small_range():
     reports = sweep(range(2, 20), None)
     assert reports
     assert all(r.ok for r in reports)
+
+
+def test_sweep_to_200_stable_json_digest():
+    # every degree, legacy mismatch, witness and searcher node count of
+    # sweep(2..200), about 3.5 MB of stable JSON
+    text = reports_to_json(sweep(range(2, 201)), stable=True)
+    digest = "964f64132486d0f4cda1dfa20e1459123153135b562c0a96b0ec8c0723b24b49"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_report_serialization():
