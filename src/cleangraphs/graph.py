@@ -15,10 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
 
 # exact canonicalization is factorial in component size; above this we
 # fall back to invariant comparison
@@ -89,14 +90,7 @@ class Graph:
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as label pairs, smaller label first, sorted."""
-        labels = self.labels
-        by_label = sorted(range(len(labels)), key=labels.__getitem__)
-        rank = sorted(range(len(labels)), key=by_label.__getitem__)  # inverse of by_label
-        return tuple(
-            (labels[i], labels[by_label[s]])
-            for r, i in enumerate(by_label)
-            for s in sorted(rank[j] for j in self.adj[i] if rank[j] > r)
-        )
+        return tuple((a, b) for a, later in _ranked_rows(self, self.labels) for b in later)
 
     def has_vertex(self, v: str) -> bool:
         return v in self.index
@@ -451,6 +445,27 @@ def find_isomorphism(
 
 EXPORT_FORMATS = ("dot", "json", "edgelist", "incidence")
 
+T = TypeVar("T")
+
+
+def _ranked_rows(g: Graph, names: Sequence[T]) -> Iterator[tuple[T, list[T]]]:
+    """The sorted edge list a row at a time, as ``names`` write the vertices.
+
+    For each vertex in label order that has neighbours later in label
+    order: its name and the names of those neighbours, in label order.
+    ``names[i]`` stands for vertex i, so one walk serves labels, encoded
+    labels and indices alike.
+    """
+    labels = g.labels
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = sorted(range(len(labels)), key=by_label.__getitem__)  # inverse of by_label
+    ranked = [names[i] for i in by_label]
+    for r, i in enumerate(by_label):
+        row = sorted(map(rank.__getitem__, g.adj[i]))
+        later = row[bisect_right(row, r) :]
+        if later:
+            yield ranked[r], list(map(ranked.__getitem__, later))
+
 
 def _check_exportable(g: Graph) -> None:
     # an empty label cannot be parsed back, and a trailing backslash would
@@ -460,40 +475,67 @@ def _check_exportable(g: Graph) -> None:
             raise ValueError("empty vertex label")
         if v.endswith("\\"):
             raise ValueError(f"label {v!r} ends in a backslash")
-        if any(ch.isspace() for ch in v) or '"' in v:
+        if v.split() != [v] or '"' in v:
             raise ValueError(f"label {v!r} contains whitespace or quotes")
 
 
 def export(g: Graph, fmt: str) -> str:
     """Render g in one of EXPORT_FORMATS.  Output is deterministic:
-    vertices in stored order, edges sorted."""
+    vertices in stored order, edges sorted.
+
+    Edges are written a row at a time: every edge of one row shares its
+    first vertex, so a row becomes one ``str.join`` over its later
+    neighbours.
+    """
     if fmt not in EXPORT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {EXPORT_FORMATS}")
     _check_exportable(g)
+    labels = g.labels
     if fmt == "dot":
         lines = ["graph {"]
-        lines += [f'  "{v}";' for v in g.vertices]
-        lines += [f'  "{a}" -- "{b}";' for a, b in g.edges()]
+        lines += [f'  "{v}";' for v in labels]
+        for a, later in _ranked_rows(g, labels):
+            head = f'  "{a}" -- "'
+            lines.append(head + ('";\n' + head).join(later) + '";')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {
-            "vertices": list(g.vertices),
-            "edges": [list(e) for e in g.edges()],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        # the layout of json.dumps({"vertices": ..., "edges": ...}, indent=2)
+        # with each label encoded by json.dumps itself
+        quoted = list(map(json.dumps, labels))
+        rows = []
+        for a, later in _ranked_rows(g, quoted):
+            head, tail = f"    [\n      {a},\n      ", "\n    ]"
+            rows.append(head + (tail + ",\n" + head).join(later) + tail)
+        vertices = "[\n    " + ",\n    ".join(quoted) + "\n  ]" if quoted else "[]"
+        edges = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return f'{{\n  "vertices": {vertices},\n  "edges": {edges}\n}}\n'
     if fmt == "edgelist":
         lines = [f"# {g.num_vertices} vertices, {g.num_edges} edges"]
-        lines += [f"v {v}" for v in g.vertices]
-        lines += [f"e {a} {b}" for a, b in g.edges()]
+        lines += [f"v {v}" for v in labels]
+        for a, later in _ranked_rows(g, labels):
+            head = f"e {a} "
+            lines.append(head + ("\n" + head).join(later))
         return "\n".join(lines) + "\n"
-    # incidence: rows follow vertex storage order, columns the sorted edges
+    # incidence: rows follow vertex storage order, columns the sorted edges;
+    # each vertex row is filled from the columns of its own edges, with
+    # cells as strings so that csv need not convert them
+    header = ["vertex"]
+    columns: list[list[int]] = [[] for _ in labels]
+    for i, later in _ranked_rows(g, range(len(labels))):
+        for j in later:
+            columns[i].append(len(header))
+            columns[j].append(len(header))
+            header.append(f"{labels[i]}--{labels[j]}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    es = g.edges()
-    writer.writerow(["vertex"] + [f"{a}--{b}" for a, b in es])
-    for v in g.vertices:
-        writer.writerow([v] + [1 if v in e else 0 for e in es])
+    writer.writerow(header)
+    for v, mine in zip(labels, columns):
+        row = ["0"] * len(header)
+        row[0] = v
+        for c in mine:
+            row[c] = "1"
+        writer.writerow(row)
     return buf.getvalue()
 
 
@@ -501,28 +543,34 @@ def parse_edgelist(text: str) -> Graph:
     """Inverse of export(..., "edgelist"); comments and blanks ignored.
 
     Vertices referenced only by ``e`` lines are added implicitly, so
-    plain two-column edge files load too.
+    plain two-column edge files load too.  The common ``e a b`` line is
+    tested first, and a run of lines sharing their first label looks
+    that label up once.
     """
     g = Graph()
     index, adj = g.index, g.adj
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if fields[0] == "e" and len(fields) == 3:
+    last, i, row = None, 0, set()
+    for fields in map(str.split, text.splitlines()):
+        if len(fields) == 3 and fields[0] == "e":
             _, a, b = fields
             if a == b:
                 raise ValueError(f"self-loop at {a!r} not allowed")
-            i = index.get(a)
-            if i is None:
+            if a != last:
                 i = g.add_vertex(a)
+                last, row = a, adj[i]
             j = index.get(b)
             if j is None:
                 j = g.add_vertex(b)
-            adj[i].add(j)
+            row.add(j)
             adj[j].add(i)
+        elif not fields or fields[0].startswith("#"):
+            continue
         elif fields[0] == "v" and len(fields) == 2:
             g.add_vertex(fields[1])
         else:
-            raise ValueError(f"line {ln}: cannot parse {raw!r}")
+            # how a line is read depends on its fields alone, so the first
+            # line with these fields is the one that failed
+            for ln, raw in enumerate(text.splitlines(), start=1):
+                if raw.split() == fields:
+                    raise ValueError(f"line {ln}: cannot parse {raw!r}")
     return g

@@ -1,14 +1,17 @@
 """Graph toolkit tests: structure, components, canonicalization,
 isomorphism search, serialization."""
 
+import csv
+import io
 import json
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cleangraphs.cleangraph import cl2, idempotent_graph
 from cleangraphs.graph import (
+    EXPORT_FORMATS,
     ComponentSummary,
     Graph,
     IsoWitness,
@@ -380,3 +383,182 @@ def test_parse_edgelist_errors_name_the_fault():
 @given(small_graphs())
 def test_edgelist_round_trip(g):
     assert parse_edgelist(export(g, "edgelist")) == g
+
+
+# -- the I/O boundary against its literal form --------------------------------------
+#
+# The edge walk, the four writers and the parser as they were before the
+# row-at-a-time rewrite, kept verbatim (edges() and _check_exportable
+# inlined as functions) so that the fast versions can be held to them.
+
+
+def literal_edges(g: Graph) -> tuple[tuple[str, str], ...]:
+    labels = g.labels
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = sorted(range(len(labels)), key=by_label.__getitem__)  # inverse of by_label
+    return tuple(
+        (labels[i], labels[by_label[s]])
+        for r, i in enumerate(by_label)
+        for s in sorted(rank[j] for j in g.adj[i] if rank[j] > r)
+    )
+
+
+def literal_check_exportable(g: Graph) -> None:
+    for v in g.labels:
+        if not v:
+            raise ValueError("empty vertex label")
+        if v.endswith("\\"):
+            raise ValueError(f"label {v!r} ends in a backslash")
+        if any(ch.isspace() for ch in v) or '"' in v:
+            raise ValueError(f"label {v!r} contains whitespace or quotes")
+
+
+def literal_export(g: Graph, fmt: str) -> str:
+    literal_check_exportable(g)
+    if fmt == "dot":
+        lines = ["graph {"]
+        lines += [f'  "{v}";' for v in g.vertices]
+        lines += [f'  "{a}" -- "{b}";' for a, b in literal_edges(g)]
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        doc = {
+            "vertices": list(g.vertices),
+            "edges": [list(e) for e in literal_edges(g)],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "edgelist":
+        lines = [f"# {g.num_vertices} vertices, {g.num_edges} edges"]
+        lines += [f"v {v}" for v in g.vertices]
+        lines += [f"e {a} {b}" for a, b in literal_edges(g)]
+        return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    es = literal_edges(g)
+    writer.writerow(["vertex"] + [f"{a}--{b}" for a, b in es])
+    for v in g.vertices:
+        writer.writerow([v] + [1 if v in e else 0 for e in es])
+    return buf.getvalue()
+
+
+def literal_parse_edgelist(text: str) -> Graph:
+    g = Graph()
+    index, adj = g.index, g.adj
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if fields[0] == "e" and len(fields) == 3:
+            _, a, b = fields
+            if a == b:
+                raise ValueError(f"self-loop at {a!r} not allowed")
+            i = index.get(a)
+            if i is None:
+                i = g.add_vertex(a)
+            j = index.get(b)
+            if j is None:
+                j = g.add_vertex(b)
+            adj[i].add(j)
+            adj[j].add(i)
+        elif fields[0] == "v" and len(fields) == 2:
+            g.add_vertex(fields[1])
+        else:
+            raise ValueError(f"line {ln}: cannot parse {raw!r}")
+    return g
+
+
+def outcome(f, *args):
+    """What f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# labels the boundary must get right: the line keywords, comment marks,
+# csv and JSON metacharacters, non-ASCII and control characters
+AWKWARD_LABELS = ["e", "v", "#", "#e", "a,b", "x\\y", "\\u00e9", "é", "日本", "\x00", "\x7f", "\U0001f600"]
+
+
+def exportable(v: str) -> bool:
+    return bool(v) and not any(ch.isspace() for ch in v) and '"' not in v and not v.endswith("\\")
+
+
+@st.composite
+def labelled_graphs(draw, labels):
+    """A graph on distinct drawn labels, added in an order unrelated to
+    label order, with its edges added in drawn order."""
+    names = draw(st.lists(labels, unique=True, max_size=9))
+    pairs = list(combinations(names, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    g = Graph(draw(st.permutations(names)))
+    for a, b in chosen:
+        g.add_edge(*draw(st.permutations([a, b])))
+    return g
+
+
+any_label = st.one_of(st.sampled_from(AWKWARD_LABELS), st.text(max_size=4))
+
+
+@given(labelled_graphs(any_label.filter(exportable)))
+@settings(max_examples=300, deadline=None)
+def test_export_matches_literal_export(g):
+    assert g.edges() == literal_edges(g)
+    for fmt in EXPORT_FORMATS:
+        assert export(g, fmt) == literal_export(g, fmt)
+
+
+@given(labelled_graphs(any_label))
+@settings(max_examples=200, deadline=None)
+def test_export_refuses_what_literal_export_refuses(g):
+    for fmt in EXPORT_FORMATS:
+        assert outcome(export, g, fmt) == outcome(literal_export, g, fmt)
+
+
+@pytest.mark.parametrize("n", [30, 90])
+def test_export_matches_literal_export_on_cl2(n):
+    # compared line by line: a failure report diffing two whole texts of
+    # several hundred kilobytes would take minutes
+    g = cl2(n)
+    for fmt in EXPORT_FORMATS:
+        assert export(g, fmt).split("\n") == literal_export(g, fmt).split("\n")
+
+
+parse_label = st.sampled_from(["a", "b", "c", "#c", "e", "v", "é", "x,y"])
+
+
+@st.composite
+def edgelist_lines(draw):
+    """One line, written with assorted blanks: mostly well formed, now
+    and then one that the parser must refuse."""
+    a, b = draw(st.lists(parse_label, min_size=2, max_size=2, unique=True))
+    if draw(st.integers(min_value=0, max_value=29)):
+        choices = [["e", a, b], ["e", a, b], ["e", b, a], ["v", a], ["#", "3", "vertices"], ["#e", a, b], []]
+    else:
+        choices = [["e", a, a], ["e"], ["v"], [a], ["e", a, b, b], ["v", a, b], ["edge", a, b]]
+    fields = draw(st.sampled_from(choices))
+    # \x0c is a line boundary to str.splitlines, a blank to str.split
+    sep = draw(st.sampled_from([" ", " ", "\t", "  ", " \t"]))
+    lead, trail = draw(st.lists(st.sampled_from(["", "", " ", "\t", "\x0c"]), min_size=2, max_size=2))
+    return lead + sep.join(fields) + trail
+
+
+@st.composite
+def edgelist_texts(draw):
+    lines = draw(st.lists(edgelist_lines(), max_size=25))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def parsed(parse, text):
+    got = outcome(parse, text)
+    return (got.labels, got.index, got.adj) if isinstance(got, Graph) else got
+
+
+@given(edgelist_texts())
+@example("e a b\ne a c\nv d\ne d b\ne a d\nv a\ne a c\n")  # first labels a, a, d, a, a
+@example("e a b\ne a c\ne a x y\ne a d\n")
+@settings(max_examples=500, deadline=None)
+def test_parse_edgelist_matches_literal_parser(text):
+    assert parsed(parse_edgelist, text) == parsed(literal_parse_edgelist, text)

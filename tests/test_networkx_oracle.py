@@ -1,13 +1,20 @@
-"""The searcher and the component split against networkx as an
-independent reference (VF2++: Juttner & Madarasi, Discrete Applied
-Mathematics, 2018).  Test-only: skipped where networkx is missing."""
+"""The searcher, the component split and the component summary against
+networkx as an independent reference (VF2++: Juttner & Madarasi,
+Discrete Applied Mathematics, 2018).  Test-only: skipped where networkx
+is missing."""
 
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cleangraphs.graph import Graph, disjoint_union, find_isomorphism, verify_mapping
+from cleangraphs.graph import (
+    ComponentSummary,
+    Graph,
+    disjoint_union,
+    find_isomorphism,
+    verify_mapping,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -80,3 +87,55 @@ def test_refinement_blind_pair_with_tiny_budget_is_inconclusive():
     res = find_isomorphism(c6, two_c3, budget=1)
     assert res.status == "inconclusive"
     assert res.witness is None
+
+
+def nx_components_match(g: Graph, h: Graph) -> bool:
+    """networkx pairs off the components of g and h one to one, each with
+    an isomorphic partner.  Isomorphism is an equivalence, so taking the
+    first unmatched partner never blocks a matching that exists."""
+    left, right = to_nx(g), to_nx(h)
+    unmatched = [right.subgraph(c) for c in nx.connected_components(right)]
+    for c in nx.connected_components(left):
+        part = left.subgraph(c)
+        partner = next((d for d in unmatched if nx.is_isomorphic(part, d)), None)
+        if partner is None:
+            return False
+        unmatched.remove(partner)
+    return not unmatched
+
+
+@st.composite
+def summary_pairs(draw, max_vertices=8):
+    """Two graphs of 0..8 vertices: independent, or a relabelled copy of
+    the first that is left alone, has one vertex pair toggled, or has
+    two edges swapped.  The swap keeps every degree, so only the
+    canonical forms can tell such a pair apart."""
+    g = draw(graphs(draw(st.integers(min_value=0, max_value=max_vertices)), "v"))
+    kind = draw(st.sampled_from(["independent", "copy", "toggled", "swapped"]))
+    if kind == "independent":
+        return g, draw(graphs(draw(st.integers(min_value=0, max_value=max_vertices)), "w"))
+    edges = set(g.edges())
+    if kind == "toggled" and g.num_vertices >= 2:
+        edges ^= {tuple(sorted(draw(st.permutations(list(g.vertices)))[:2]))}
+    if kind == "swapped":
+        # ab, cd -> ad, cb (or ac, bd) where neither new edge is there yet
+        swaps = [
+            ({(a, b), (c, d)}, new)
+            for (a, b), (c, d) in combinations(sorted(edges), 2)
+            for x, y in ((c, d), (d, c))
+            if len({a, b, x, y}) == 4
+            and not (new := {tuple(sorted((a, y))), tuple(sorted((x, b)))}) & edges
+        ]
+        if swaps:
+            old, new = draw(st.sampled_from(swaps))
+            edges = edges - old | new
+    names = dict(zip(g.vertices, draw(st.permutations([f"w{i}" for i in range(g.num_vertices)]))))
+    h = Graph(draw(st.permutations(list(names.values()))), [(names[a], names[b]) for a, b in edges])
+    return g, h
+
+
+@given(summary_pairs())
+@settings(max_examples=300, deadline=None)
+def test_component_summary_matches_networkx(pair):
+    g, h = pair
+    assert (ComponentSummary.of(g) == ComponentSummary.of(h)) == nx_components_match(g, h)
