@@ -25,70 +25,38 @@ from .shuriken import build_sh, build_shu
 # CLI theorem name -> per-modulus statement
 _NUMERIC = {t.cli_name: t for t in verify_mod.NUMERIC_THEOREMS.values() if t.cli_name}
 
-# graph-argument theorem -> the arguments it reads
-_GRAPH_THEOREM_READS = {
-    "shu-connectivity": {"t", "shn", "input"},
-    "shu-inheritance": {"t", "shn", "input", "input2"},
-    "bridge": {"t", "shn"},
-}
-
-THEOREMS = (*_NUMERIC, *_GRAPH_THEOREM_READS, "all")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cleangraphs",
-        description="Clean, idempotent and shuriken graphs over Z_n, "
-        "with mechanical checks of their structure theory.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ring = sub.add_parser("ring", help="list idempotents, units and the unit pairing")
-    p_ring.add_argument("n", type=int)
-
-    p_build = sub.add_parser("build", help="construct a graph, emit edge-list format")
-    p_build.add_argument(
-        "family", choices=["idempotent", "clean", "cl1", "cl2", "sh", "shu"]
-    )
-    p_build.add_argument("n", type=int, nargs="?", help="modulus for ring families")
-    p_build.add_argument("--t", type=int, help="shuriken parameter t")
-    p_build.add_argument("--n", dest="shn", type=int, help="shuriken parameter n")
-    p_build.add_argument("--input", help="edge-list file (shu input graph)")
-
-    p_export = sub.add_parser(
-        "export", help="convert an edge-list graph from stdin to another format"
-    )
-    p_export.add_argument("--format", required=True, choices=list(EXPORT_FORMATS))
-    p_export.add_argument("--out", help="output file (default stdout)")
-
-    p_deg = sub.add_parser(
-        "degrees", help="per-vertex degree table for cl2(Z_n) with both formulas"
-    )
-    p_deg.add_argument("n", type=int)
-
-    p_verify = sub.add_parser("verify", help="run theorem checks")
-    p_verify.add_argument("theorem", choices=list(THEOREMS))
-    p_verify.add_argument("n", type=int, nargs="?", help="single modulus")
-    p_verify.add_argument("--range", dest="range_", metavar="A..B", help="modulus range")
-    p_verify.add_argument("--json", action="store_true", help="machine-readable reports")
-    p_verify.add_argument(
-        "--stable", action="store_true", help="omit elapsed times from reports"
-    )
-    p_verify.add_argument("--t", type=int, help="shuriken parameter t")
-    p_verify.add_argument("--n", dest="shn", type=int, help="shuriken parameter n")
-    p_verify.add_argument("--input", help="edge-list file (graph argument)")
-    p_verify.add_argument("--input2", help="second edge-list file (inheritance)")
-
-    p_back = sub.add_parser("backend", help="print the name of the arithmetic kernels")
-    p_back.set_defaults(command="backend")
-
-    return parser
-
 
 def _read_graph_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edgelist(fh.read())
 
+
+# build family -> (the arguments it needs, the graph built from them)
+_FAMILIES = {
+    "idempotent": ({"n"}, lambda a: idempotent_graph(a.n)),
+    "clean": ({"n"}, lambda a: clean_graph(a.n)),
+    "cl1": ({"n"}, lambda a: cl1(a.n)),
+    "cl2": ({"n"}, lambda a: cl2(a.n)),
+    "sh": ({"t", "shn"}, lambda a: build_sh(a.t, a.shn)),
+    "shu": ({"t", "shn", "input"}, lambda a: build_shu(_read_graph_file(a.input), a.t, a.shn)),
+}
+
+# graph-argument theorem -> (the arguments it needs, its report)
+_GRAPH_THEOREMS = {
+    "shu-connectivity": (
+        {"t", "shn", "input"},
+        lambda a: verify_mod.verify_shu_connectivity(_read_graph_file(a.input), a.t, a.shn),
+    ),
+    "shu-inheritance": (
+        {"t", "shn", "input", "input2"},
+        lambda a: verify_mod.verify_shu_inheritance(
+            _read_graph_file(a.input), _read_graph_file(a.input2), a.t, a.shn
+        ),
+    ),
+    "bridge": ({"t", "shn"}, lambda a: verify_mod.verify_sh_shu_bridge(a.t, a.shn)),
+}
+
+THEOREMS = (*_NUMERIC, *_GRAPH_THEOREMS, "all")
 
 # argparse dest -> how an error message names the argument
 _ARGUMENT_NAMES = {
@@ -101,14 +69,70 @@ _ARGUMENT_NAMES = {
 }
 
 
-def _reject_unread(args, parser: argparse.ArgumentParser, command: str, reads: set[str]) -> None:
-    """Usage error for any argument given to ``command`` that it does not read."""
+def _check_arguments(args, parser, command: str, takes: set[str], needs: set[str]) -> None:
+    """Usage error for any argument given to ``command`` that it does not
+    take, then for the ones it needs that are missing."""
+    given = {dest for dest in _ARGUMENT_NAMES if getattr(args, dest, None) is not None}
     for dest, name in _ARGUMENT_NAMES.items():
-        if dest not in reads and getattr(args, dest, None) is not None:
+        if dest in given - takes:
             parser.error(f"{command} does not take {name}")
+    missing = [name for dest, name in _ARGUMENT_NAMES.items() if dest in needs - given]
+    if missing:
+        parser.error(f"{command} requires {', '.join(missing)}")
 
 
-def _cmd_ring(args) -> int:
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cleangraphs",
+        description="Clean, idempotent and shuriken graphs over Z_n, "
+        "with mechanical checks of their structure theory.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_ring = sub.add_parser("ring", help="list idempotents, units and the unit pairing")
+    p_ring.add_argument("n", type=int)
+    p_ring.set_defaults(run=_cmd_ring)
+
+    p_build = sub.add_parser("build", help="construct a graph, emit edge-list format")
+    p_build.add_argument("family", choices=list(_FAMILIES))
+    p_build.add_argument("n", type=int, nargs="?", help="modulus for ring families")
+    p_build.add_argument("--t", type=int, help="shuriken parameter t")
+    p_build.add_argument("--n", dest="shn", type=int, help="shuriken parameter n")
+    p_build.add_argument("--input", help="edge-list file (shu input graph)")
+    p_build.set_defaults(run=_cmd_build)
+
+    p_export = sub.add_parser(
+        "export", help="convert an edge-list graph from stdin to another format"
+    )
+    p_export.add_argument("--format", required=True, choices=list(EXPORT_FORMATS))
+    p_export.add_argument("--out", help="output file (default stdout)")
+    p_export.set_defaults(run=_cmd_export)
+
+    p_deg = sub.add_parser(
+        "degrees", help="per-vertex degree table for cl2(Z_n) with both formulas"
+    )
+    p_deg.add_argument("n", type=int)
+    p_deg.set_defaults(run=_cmd_degrees)
+
+    p_verify = sub.add_parser("verify", help="run theorem checks")
+    p_verify.add_argument("theorem", choices=list(THEOREMS))
+    p_verify.add_argument("n", type=int, nargs="?", help="single modulus")
+    p_verify.add_argument("--range", dest="range_", metavar="A..B", help="modulus range")
+    p_verify.add_argument("--json", action="store_true", help="machine-readable reports")
+    p_verify.add_argument("--stable", action="store_true", help="omit elapsed times from reports")
+    p_verify.add_argument("--t", type=int, help="shuriken parameter t")
+    p_verify.add_argument("--n", dest="shn", type=int, help="shuriken parameter n")
+    p_verify.add_argument("--input", help="edge-list file (graph argument)")
+    p_verify.add_argument("--input2", help="second edge-list file (inheritance)")
+    p_verify.set_defaults(run=_cmd_verify)
+
+    p_back = sub.add_parser("backend", help="print the name of the arithmetic kernels")
+    p_back.set_defaults(run=_cmd_backend)
+
+    return parser
+
+
+def _cmd_ring(args, parser: argparse.ArgumentParser) -> int:
     ring = factorize(args.n)
     part = ring.unit_partition()
     ids = ring.idempotents()
@@ -116,9 +140,7 @@ def _cmd_ring(args) -> int:
     print(ring)
     print(f"idempotents ({len(ids)}): {' '.join(map(str, ids))}")
     print(f"units ({len(units)}): {' '.join(map(str, units))}")
-    print(
-        f"self-inverse units ({part.t}): {' '.join(map(str, part.self_inverse))}"
-    )
+    print(f"self-inverse units ({part.t}): {' '.join(map(str, part.self_inverse))}")
     couples = " ".join(f"{a}*{b}" for a, b in part.pairs())
     print(f"inverse couples ({len(part.pairs())}): {couples if couples else '-'}")
     print(f"unit layout: {' '.join(map(str, part.ordered_units()))}")
@@ -126,35 +148,14 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_build(args, parser: argparse.ArgumentParser) -> int:
-    fam = args.family
-    if fam in ("idempotent", "clean", "cl1", "cl2"):
-        _reject_unread(args, parser, f"build {fam}", {"n"})
-        if args.n is None:
-            parser.error(f"build {fam} requires a modulus argument")
-        builder = {
-            "idempotent": idempotent_graph,
-            "clean": clean_graph,
-            "cl1": cl1,
-            "cl2": cl2,
-        }[fam]
-        g = builder(args.n)
-    elif fam == "sh":
-        _reject_unread(args, parser, "build sh", {"t", "shn"})
-        if args.t is None or args.shn is None:
-            parser.error("build sh requires --t and --n")
-        g = build_sh(args.t, args.shn)
-    else:
-        _reject_unread(args, parser, "build shu", {"t", "shn", "input"})
-        if args.t is None or args.shn is None or args.input is None:
-            parser.error("build shu requires --t, --n and --input")
-        g = build_shu(_read_graph_file(args.input), args.t, args.shn)
-    sys.stdout.write(export(g, "edgelist"))
+    needs, build = _FAMILIES[args.family]
+    _check_arguments(args, parser, f"build {args.family}", needs, needs)
+    sys.stdout.write(export(build(args), "edgelist"))
     return 0
 
 
-def _cmd_export(args) -> int:
-    g = parse_edgelist(sys.stdin.read())
-    text = export(g, args.format)
+def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
+    text = export(parse_edgelist(sys.stdin.read()), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -163,7 +164,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_degrees(args) -> int:
+def _cmd_degrees(args, parser: argparse.ArgumentParser) -> int:
     ring = factorize(args.n)
     g = cl2(ring)
     print(f"cl2(Z_{args.n}): vertex (e,u), actual degree, both formulas")
@@ -201,32 +202,20 @@ def _exit_code(reports) -> int:
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     theorem = args.theorem
-    if theorem in _GRAPH_THEOREM_READS:
-        _reject_unread(args, parser, f"verify {theorem}", _GRAPH_THEOREM_READS[theorem])
-        if args.t is None or args.shn is None:
-            parser.error(f"verify {theorem} requires --t and --n")
-        if theorem == "bridge":
-            reports = [verify_mod.verify_sh_shu_bridge(args.t, args.shn)]
-        elif theorem == "shu-connectivity":
-            if args.input is None:
-                parser.error("verify shu-connectivity requires --input")
-            g = _read_graph_file(args.input)
-            reports = [verify_mod.verify_shu_connectivity(g, args.t, args.shn)]
-        else:
-            if args.input is None or args.input2 is None:
-                parser.error("verify shu-inheritance requires --input and --input2")
-            g1 = _read_graph_file(args.input)
-            g2 = _read_graph_file(args.input2)
-            reports = [verify_mod.verify_shu_inheritance(g1, g2, args.t, args.shn)]
+    command = f"verify {theorem}"
+    if theorem in _GRAPH_THEOREMS:
+        needs, run = _GRAPH_THEOREMS[theorem]
+        _check_arguments(args, parser, command, needs, needs)
+        reports = [run(args)]
     else:
-        _reject_unread(args, parser, f"verify {theorem}", {"n", "range_"})
+        _check_arguments(args, parser, command, {"n", "range_"}, set())
         if args.range_ is not None and args.n is not None:
             parser.error("give a single modulus or --range, not both")
         if args.range_ is not None:
             ids = None if theorem == "all" else [_NUMERIC[theorem].theorem_id]
             reports = verify_mod.sweep(_parse_range(args.range_, parser), ids)
         elif args.n is None:
-            parser.error(f"verify {theorem} requires a modulus or --range")
+            parser.error(f"{command} requires a modulus or --range")
         elif theorem == "all":
             reports = verify_mod.sweep([args.n])
         else:
@@ -242,22 +231,16 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     return _exit_code(reports)
 
 
+def _cmd_backend(args, parser: argparse.ArgumentParser) -> int:
+    print(backend())
+    return 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "ring":
-            return _cmd_ring(args)
-        if args.command == "build":
-            return _cmd_build(args, parser)
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "degrees":
-            return _cmd_degrees(args)
-        if args.command == "backend":
-            print(backend())
-            return 0
-        return _cmd_verify(args, parser)
+        return args.run(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

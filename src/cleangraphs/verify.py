@@ -258,17 +258,6 @@ def _witness_outcome(
     return instance, status, detail, {**evidence, **(pass_evidence or {}), **extra}
 
 
-def _two_prime_branch_t(p: int, np_: int, q: int, mq: int) -> int:
-    """Predicted self-inverse unit count for Z_{p^np * q^mq}."""
-
-    def local(pp: int, ee: int) -> int:
-        if pp != 2:
-            return 2
-        return {1: 1, 2: 2}.get(ee, 4)
-
-    return local(p, np_) * local(q, mq)
-
-
 @_timed("two_prime_isomorphism")
 def verify_pq(n: ModRing | int) -> _Outcome:
     """cl2(Z_{p^np * q^mq}) against the standalone shuriken graph;
@@ -287,7 +276,7 @@ def verify_pq(n: ModRing | int) -> _Outcome:
     part = ring.unit_partition()
     t, k = part.t, part.k
 
-    branch_t = _two_prime_branch_t(p, np_, q, mq)
+    branch_t = self_inverse_count_closed_form(ring)
     if branch_t != t:
         return (
             instance,

@@ -253,6 +253,83 @@ def test_arguments_the_command_does_not_read_are_usage_errors(capsys, argv, unre
     assert f"error: {command} does not take {unread}" in capsys.readouterr().err
 
 
+# What each build family and verify theorem needs, written out here rather
+# than read from the CLI.  A per-modulus theorem takes --range in place of
+# the modulus.
+NEEDS = {
+    "build idempotent": ("a modulus",),
+    "build clean": ("a modulus",),
+    "build cl1": ("a modulus",),
+    "build cl2": ("a modulus",),
+    "build sh": ("--t", "--n"),
+    "build shu": ("--t", "--n", "--input"),
+    "verify degree": ("a modulus",),
+    "verify prime-power": ("a modulus",),
+    "verify pq": ("a modulus",),
+    "verify general": ("a modulus",),
+    "verify corollary": ("a modulus",),
+    "verify all": ("a modulus",),
+    "verify shu-connectivity": ("--t", "--n", "--input"),
+    "verify shu-inheritance": ("--t", "--n", "--input", "--input2"),
+    "verify bridge": ("--t", "--n"),
+}
+
+
+ARGUMENTS = ("a modulus", "--range", "--t", "--n", "--input", "--input2")
+
+
+def command_argv(command, names, graph_file):
+    """The command with the named arguments, the modulus first."""
+    values = {
+        "a modulus": ["6"],
+        "--range": ["--range", "2..5"],
+        "--t": ["--t", "2"],
+        "--n": ["--n", "4"],
+        "--input": ["--input", str(graph_file)],
+        "--input2": ["--input2", str(graph_file)],
+    }
+    return command.split() + [word for name in ARGUMENTS if name in names for word in values[name]]
+
+
+@pytest.fixture
+def graph_file(tmp_path):
+    f = tmp_path / "g.edgelist"
+    f.write_text("e a b\n")
+    return f
+
+
+def usage_error(argv, capsys):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2, argv
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(NEEDS))
+def test_each_command_refuses_every_argument_it_does_not_take(capsys, graph_file, command):
+    needs = NEEDS[command]
+    takes = set(needs)
+    if command.startswith("verify") and needs == ("a modulus",):
+        takes.add("--range")
+    for other in [name for name in ARGUMENTS if name not in takes]:
+        err = usage_error(command_argv(command, (other, *needs), graph_file), capsys)
+        if command.startswith("build") and other in ("--range", "--input2"):
+            # build has no such option at all
+            assert "error: unrecognized arguments: " + other in err
+        else:
+            assert f"error: {command} does not take {other}" in err
+
+
+@pytest.mark.parametrize("command", list(NEEDS))
+def test_each_command_needs_every_argument_it_names(capsys, graph_file, command):
+    needs = NEEDS[command]
+    assert main(command_argv(command, needs, graph_file)) in (0, 1, 2, 3)
+    for left_out in needs:
+        rest = [name for name in needs if name != left_out]
+        usage_error(command_argv(command, rest, graph_file), capsys)
+
+
 def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

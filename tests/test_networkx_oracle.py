@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cleangraphs.graph import (
     ComponentSummary,
     Graph,
+    _joint_refinement,
     disjoint_union,
     find_isomorphism,
     verify_mapping,
@@ -87,6 +88,63 @@ def test_refinement_blind_pair_with_tiny_budget_is_inconclusive():
     res = find_isomorphism(c6, two_c3, budget=1)
     assert res.status == "inconclusive"
     assert res.witness is None
+
+
+def cfi_graph(base_edges, twisted):
+    """The Cai-Fuerer-Immerman graph over a base graph (Cai, Fuerer &
+    Immerman, Combinatorica 1992).  Each base vertex v becomes a gadget:
+    two ends a(v,e,0), a(v,e,1) per incident edge e and one middle vertex
+    per even-sized set S of incident edges, joined to a(v,e,1) for e in S
+    and to a(v,e,0) otherwise.  Each base edge joins the matching ends of
+    its two gadgets; the twisted graph crosses them on the first edge."""
+    def end(v, e, bit):
+        return f"a{v}:{e[0]}{e[1]}:{bit}"
+
+    labels, edges = [], []
+    for v in sorted({v for e in base_edges for v in e}):
+        incident = [e for e in base_edges if v in e]
+        labels += [end(v, e, bit) for e in incident for bit in (0, 1)]
+        for size in range(0, len(incident) + 1, 2):
+            for chosen in combinations(incident, size):
+                middle = f"m{v}:" + ",".join(f"{a}{b}" for a, b in chosen)
+                labels.append(middle)
+                edges += [(middle, end(v, e, int(e in chosen))) for e in incident]
+    for i, e in enumerate(base_edges):
+        flip = int(twisted and i == 0)
+        edges += [(end(e[0], e, bit), end(e[1], e, bit ^ flip)) for bit in (0, 1)]
+    return Graph(labels, edges)
+
+
+def cfi_pair_over_k4():
+    k4 = list(combinations(range(4), 2))
+    return cfi_graph(k4, twisted=False), cfi_graph(k4, twisted=True)
+
+
+def test_cfi_pair_is_blind_to_refinement_and_decided_correctly():
+    g, h = cfi_pair_over_k4()
+    assert (g.num_vertices, g.num_edges) == (h.num_vertices, h.num_edges) == (40, 60)
+    # 3-regular, and colour refinement leaves both graphs one class
+    cg, ch = _joint_refinement(g, h)
+    assert set(cg) == set(ch) and len(set(cg)) == 1
+    assert not nx.vf2pp_is_isomorphic(to_nx(g), to_nx(h))
+    assert find_isomorphism(g, h).status == "not_isomorphic"
+
+
+def test_cfi_pair_with_tiny_budget_is_inconclusive():
+    g, h = cfi_pair_over_k4()
+    res = find_isomorphism(g, h, budget=10)
+    assert res.status == "inconclusive"
+    assert res.witness is None
+
+
+def test_cfi_graph_is_isomorphic_to_a_relabelled_copy():
+    g, _ = cfi_pair_over_k4()
+    names = {v: f"w{i}" for i, v in enumerate(reversed(g.vertices))}
+    copy = g.relabel(names)
+    copy = Graph(sorted(copy.vertices), copy.edges())
+    res = find_isomorphism(g, copy)
+    assert res.status == "isomorphic"
+    assert verify_mapping(g, copy, res.witness)
 
 
 def nx_components_match(g: Graph, h: Graph) -> bool:

@@ -82,6 +82,17 @@ def test_pq_witness_and_branch():
     assert r.evidence["searcher"] == "isomorphic"
 
 
+def test_pq_fails_when_the_closed_form_disagrees_with_the_enumeration(monkeypatch):
+    closed_form = verify_module.self_inverse_count_closed_form
+    monkeypatch.setattr(
+        verify_module, "self_inverse_count_closed_form", lambda n: closed_form(n) + 1
+    )
+    r = verify_pq(10)
+    assert (r.status, r.instance) == ("fail", "p=2^1 q=5^1")
+    assert r.detail == "branch predicts t=3, enumeration gives t=2"
+    assert r.evidence == {"t_branch": 3, "t_enumerated": 2}
+
+
 def test_pq_argument_order_does_not_matter():
     # the primes come off the factorization, smaller first
     for n, instance in ((10, "p=2^1 q=5^1"), (12, "p=2^2 q=3^1")):
