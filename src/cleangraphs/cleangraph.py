@@ -57,27 +57,25 @@ def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
     The rule is an OR of an idempotent relation and a unit relation, so
     each row is built whole instead of testing every pair: the row of
     (e, u) is every block whose f has e*f = 0, plus the column of the
-    inverse of u in every block, minus the vertex itself.
+    inverse of u in every block, minus the vertex itself.  As bitsets a
+    block is a run of m set bits and a column a bit every m places.
     """
     n = ring.modulus
     units = ring.units()
     m = len(units)
-    size = m * len(idempotents)
-    g = Graph(pair_label(e, u) for e in idempotents for u in units)
     column = {u: c for c, u in enumerate(units)}
     inverse_column = [column[pow(u, -1, n)] for u in units]
-    adj: list[set[int]] = []
+    one_block = (1 << m) - 1
+    first_column = sum(1 << (b * m) for b in range(len(idempotents)))
+    rows: list[int] = []
     for e in idempotents:
-        block: set[int] = set()
+        block = 0
         for b, f in enumerate(idempotents):
             if e * f % n == 0:
-                block.update(range(b * m, (b + 1) * m))
+                block |= one_block << (b * m)
         for c in inverse_column:
-            row = block.union(range(c, size, m))
-            row.discard(len(adj))
-            adj.append(row)
-    g.adj = adj
-    return g
+            rows.append((block | first_column << c) & ~(1 << len(rows)))
+    return Graph.from_rows((pair_label(e, u) for e in idempotents for u in units), rows)
 
 
 def clean_graph(r: ModRing | int) -> Graph:

@@ -168,8 +168,9 @@ def _cmd_degrees(args, parser: argparse.ArgumentParser) -> int:
     ring = factorize(args.n)
     g = cl2(ring)
     print(f"cl2(Z_{args.n}): vertex (e,u), actual degree, both formulas")
-    for (e, u), row, (corrected, legacy) in zip(cl2_pairs(ring), g.adj, closed_form_degrees(ring)):
-        actual = len(row)
+    for (e, u), actual, (corrected, legacy) in zip(
+        cl2_pairs(ring), g.degrees(), closed_form_degrees(ring)
+    ):
         flag = " MISMATCH" if legacy != actual else ""
         if corrected != actual:
             flag += " CORRECTED-MISMATCH"
@@ -238,7 +239,14 @@ def _cmd_backend(args, parser: argparse.ArgumentParser) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse leaves the optional modulus of build and verify empty once an
+    # option follows the command words, so a modulus typed after the
+    # options is left over: take it as the modulus
+    if len(extra) == 1 and getattr(args, "n", 0) is None and re.fullmatch(r"\d+", extra[0]):
+        args.n = int(extra.pop())
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.run(args, parser)
     except (ValueError, OSError) as exc:

@@ -4,6 +4,9 @@ deterministic export.
 Vertices are the indices 0..V-1 in insertion order, and every algorithm
 works on them.  String labels appear only at the boundary: the
 label-taking methods, isomorphism witnesses, export and parsing.
+Each vertex's neighbours are one int, a bitset with bit j set when
+vertex j is a neighbour: degrees are bit counts, and a row is built or
+compared whole instead of an entry at a time.
 Graphs are undirected, loop-free and unweighted; that is all the ring
 constructions need.  The isomorphism searcher is independent of any
 structure theorem so it can serve as a neutral cross-check for
@@ -15,10 +18,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_right
+import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from functools import reduce
+from itertools import compress, permutations
+from operator import or_
 from typing import Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
 
 # exact canonicalization is factorial in component size; above this we
@@ -27,10 +32,65 @@ MAX_CANON_VERTICES = 8
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
+# a row with more than 1/DENSE of its width set is read in one pass over
+# all its binary digits, a sparser one a set bit at a time; a row with
+# fewer than FEW set bits is split or built one bit at a time
+DENSE = 16
+FEW = 16
+
+T = TypeVar("T")
+
+
+# -- bitset rows -----------------------------------------------------------------
+
+_ONE = re.compile("1")
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to bit values
+
+
+def _select(row: int, values: Sequence[T]) -> list[T]:
+    """``values[j]`` for each set bit j of row, in increasing j; with
+    ``range(V)`` as the values, the indices of the set bits.
+
+    A few bits are split off the top one at a time; more are found in
+    the binary digits, by a scan for each "1" when they are sparse and by
+    one pass over every digit when they are dense.
+    """
+    count = row.bit_count()
+    if count < FEW:
+        out = []
+        while row:
+            j = row.bit_length() - 1
+            out.append(values[j])
+            row ^= 1 << j
+        out.reverse()
+        return out
+    digits = bin(row)[:1:-1]  # bit j is digits[j]
+    if count * DENSE > len(digits):
+        return list(compress(values, digits.encode().translate(_BITS)))
+    return [values[m.start()] for m in _ONE.finditer(digits)]
+
+
+def _row_of(indices: list[int], width: int) -> int:
+    """The row whose set bits are ``indices`` (repeats allowed), all
+    below ``width``.
+
+    A few bits are added one at a time; more are written as "1"s into a
+    string of "0"s that is read as one binary number, so the cost is the
+    width plus the indices rather than their product.
+    """
+    if len(indices) < FEW:
+        return reduce(or_, map((1).__lshift__, indices), 0)
+    digits = bytearray(b"0") * width
+    for j in indices:
+        digits[j] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
 
 class Graph:
     """Mutable simple graph: vertex i has label ``labels[i]`` and the
-    neighbour indices ``adj[i]``; ``index`` maps each label back to i."""
+    neighbour row ``adj[i]``, an int with bit j set when j is a
+    neighbour; ``index`` maps each label back to i."""
 
     __slots__ = ("labels", "index", "adj")
 
@@ -45,9 +105,20 @@ class Graph:
             if not isinstance(v, str):
                 raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
         self.index: dict[str, int] = dict(zip(self.labels, range(len(self.labels))))
-        self.adj: list[set[int]] = [set() for _ in self.labels]
+        self.adj: list[int] = [0] * len(self.labels)
         for a, b in edges:
             self.add_edge(a, b)
+
+    @classmethod
+    def from_rows(cls, labels: Iterable[str], rows: list[int]) -> "Graph":
+        """The graph on the distinct ``labels`` whose vertex i has the
+        neighbour row ``rows[i]``; the rows must be symmetric and have no
+        vertex's own bit set."""
+        g = cls(labels)
+        if len(rows) != len(g.labels):
+            raise ValueError(f"{len(rows)} rows for {len(g.labels)} distinct labels")
+        g.adj = rows
+        return g
 
     # -- mutation ------------------------------------------------------------
 
@@ -59,7 +130,7 @@ class Graph:
                 raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
             i = self.index[v] = len(self.labels)
             self.labels.append(v)
-            self.adj.append(set())
+            self.adj.append(0)
         return i
 
     def add_edge(self, a: str, b: str) -> None:
@@ -71,8 +142,8 @@ class Graph:
         """Add the edge between the vertices with indices i and j."""
         if i == j:
             raise ValueError(f"self-loop at {self.labels[i]!r} not allowed")
-        self.adj[i].add(j)
-        self.adj[j].add(i)
+        self.adj[i] |= 1 << j
+        self.adj[j] |= 1 << i
 
     # -- inspection ------------------------------------------------------------
 
@@ -86,7 +157,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(map(len, self.adj)) // 2
+        return sum(self.degrees()) // 2
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as label pairs, smaller label first, sorted."""
@@ -96,19 +167,22 @@ class Graph:
         return v in self.index
 
     def has_edge(self, a: str, b: str) -> bool:
-        i = self.index.get(a)
-        return i is not None and self.index.get(b) in self.adj[i]
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and bool(self.adj[i] >> j & 1)
 
     def neighbors(self, v: str) -> frozenset[str]:
-        labels = self.labels
-        return frozenset([labels[j] for j in self.adj[self.index[v]]])
+        return frozenset(_select(self.adj[self.index[v]], self.labels))
 
     def degree(self, v: str) -> int:
-        return len(self.adj[self.index[v]])
+        return self.adj[self.index[v]].bit_count()
+
+    def degrees(self) -> list[int]:
+        """Every vertex's degree, in index order."""
+        return list(map(int.bit_count, self.adj))
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees in non-increasing order."""
-        return tuple(sorted(map(len, self.adj), reverse=True))
+        return tuple(sorted(self.degrees(), reverse=True))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -120,19 +194,21 @@ class Graph:
 
     # -- derived graphs ------------------------------------------------------
 
-    def _subgraph(self, keep: list[int]) -> "Graph":
-        """Induced subgraph on the vertex indices ``keep``, in that order."""
-        g = Graph(self.labels[i] for i in keep)
-        new = dict(zip(keep, range(len(keep))))
-        g.adj = [{new[j] for j in self.adj[i] if j in new} for i in keep]
-        return g
+    def _subgraph(self, part: int) -> "Graph":
+        """Induced subgraph on the vertices of the row ``part``, in index order."""
+        everyone = range(len(self.labels))
+        keep = _select(part, everyone)
+        new = dict(zip(keep, range(len(keep))))  # old index -> new index
+        nbrs = [[new[j] for j in _select(self.adj[i] & part, everyone)] for i in keep]
+        rows = [_row_of(js, len(keep)) for js in nbrs]
+        return Graph.from_rows([self.labels[i] for i in keep], rows)
 
     def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
         keep_set = set(keep)
         missing = keep_set - self.index.keys()
         if missing:
             raise ValueError(f"not vertices of this graph: {sorted(missing)}")
-        return self._subgraph(sorted(self.index[v] for v in keep_set))
+        return self._subgraph(_row_of([self.index[v] for v in keep_set], len(self.labels)))
 
     def relabel(self, mapping: Mapping[str, str]) -> "Graph":
         """Injectively rename every vertex."""
@@ -140,33 +216,31 @@ class Graph:
             raise ValueError("mapping must cover exactly the vertex set")
         if len(set(mapping.values())) != len(mapping):
             raise ValueError("mapping must be injective")
-        g = Graph(mapping[v] for v in self.labels)
-        g.adj = [set(row) for row in self.adj]
-        return g
+        return Graph.from_rows((mapping[v] for v in self.labels), list(self.adj))
 
-    def _component(self, start: int) -> set[int]:
-        """Indices of the vertices reachable from index ``start``."""
-        part, stack = {start}, [start]
-        while stack:
-            new = self.adj[stack.pop()] - part
-            part |= new
-            stack += new
+    def _component(self, start: int) -> int:
+        """The set of vertices reachable from index ``start``, as a row:
+        each step adds the rows of the vertices the last step reached."""
+        part = frontier = 1 << start
+        while frontier:
+            frontier = reduce(or_, _select(frontier, self.adj)) & ~part
+            part |= frontier
         return part
 
     def connected_components(self) -> list["Graph"]:
         """Induced component subgraphs, largest first, ties by vertex labels."""
-        seen: set[int] = set()
+        unseen = (1 << len(self.labels)) - 1
         comps: list[Graph] = []
-        for start in range(len(self.labels)):
-            if start not in seen:
-                part = self._component(start)
-                seen |= part
-                comps.append(self._subgraph(sorted(part)))
+        while unseen:
+            # the component of the lowest vertex not yet in one
+            part = self._component((unseen & -unseen).bit_length() - 1)
+            unseen ^= part
+            comps.append(self._subgraph(part))
         comps.sort(key=lambda c: (-c.num_vertices, c.vertices))
         return comps
 
     def is_connected(self) -> bool:
-        return not self.labels or len(self._component(0)) == len(self.labels)
+        return not self.labels or self._component(0) == (1 << len(self.labels)) - 1
 
 
 # -- stock constructions -------------------------------------------------------
@@ -179,11 +253,9 @@ def _labels(k: int) -> list[str]:
 
 
 def complete_graph(k: int) -> Graph:
-    g = Graph(_labels(k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            g.link(i, j)
-    return g
+    labels = _labels(k)
+    everyone = (1 << k) - 1
+    return Graph.from_rows(labels, [everyone ^ 1 << i for i in range(k)])
 
 
 def empty_graph(k: int) -> Graph:
@@ -199,14 +271,14 @@ def path_graph(k: int) -> Graph:
 
 def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     """Disjoint union; vertex v of the i-th input becomes ``p{i}_{v}``."""
-    out = Graph()
+    labels: list[str] = []
+    rows: list[int] = []
     for i, g in enumerate(graphs):
-        at = [out.add_vertex(f"p{i}_{v}") for v in g.labels]
-        for a, row in enumerate(g.adj):
-            for b in row:
-                if a < b:
-                    out.link(at[a], at[b])
-    return out
+        # the input's rows, moved up past the vertices before it
+        offset = len(labels)
+        rows += [row << offset for row in g.adj]
+        labels += [f"p{i}_{v}" for v in g.labels]
+    return Graph.from_rows(labels, rows)
 
 
 # -- canonical forms and component summaries -----------------------------------
@@ -227,7 +299,7 @@ def canonical_form(g: Graph) -> tuple[int, int] | None:
         for i in range(k):
             row = g.adj[perm[i]]
             for j in range(i + 1, k):
-                code = code << 1 | (perm[j] in row)
+                code = code << 1 | (row >> perm[j] & 1)
         if best is None or code < best:
             best = code
     return (k, best if best is not None else 0)
@@ -293,10 +365,9 @@ def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) 
 
     The label mapping becomes one permutation of vertex indices; a
     bijection is an isomorphism when it carries every vertex's
-    neighbour set exactly onto the neighbour set of its image.  With
-    equal edge counts it is enough that each image lands inside the
-    image vertex's neighbour set: containment in every row then forces
-    equality.
+    neighbour set exactly onto the neighbour set of its image.  Each
+    row's neighbours are mapped, built into one row of h and compared
+    with the row of the image vertex.
     """
     if isinstance(mapping, IsoWitness):
         mapping = mapping.as_dict()
@@ -312,7 +383,8 @@ def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) 
     if len(set(perm)) != k:
         return False
     return all(
-        h.adj[perm[i]].issuperset(map(perm.__getitem__, row)) for i, row in enumerate(g.adj)
+        _row_of(_select(row, perm), k) == target
+        for row, target in zip(g.adj, map(h.adj.__getitem__, perm))
     )
 
 
@@ -323,20 +395,22 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
     None as soon as the color histograms split (which certifies
     non-isomorphism).
     """
-    cg = [len(row) for row in g.adj]
-    ch = [len(row) for row in h.adj]
+    cg, ch = g.degrees(), h.degrees()
+    everyone = range(len(cg))
+    g_nbrs = [_select(row, everyone) for row in g.adj]
+    h_nbrs = [_select(row, everyone) for row in h.adj]
     while True:
         if Counter(cg) != Counter(ch):
             return None
         palette: dict[tuple, int] = {}
 
-        def recolor(adj: list[set[int]], colors: list[int]) -> list[int]:
+        def recolor(nbrs: list[list[int]], colors: list[int]) -> list[int]:
             return [
                 palette.setdefault((c, tuple(sorted([colors[w] for w in row]))), len(palette))
-                for c, row in zip(colors, adj)
+                for c, row in zip(colors, nbrs)
             ]
 
-        ng, nh = recolor(g.adj, cg), recolor(h.adj, ch)
+        ng, nh = recolor(g_nbrs, cg), recolor(h_nbrs, ch)
         stable = len(set(ng)) == len(set(cg))
         cg, ch = ng, nh
         if stable:
@@ -347,21 +421,28 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
 
 def _search_order(g: Graph, colors: list[int]) -> list[int]:
     """Vertex indices in backtracking order: stay adjacent to the mapped
-    prefix, prefer rare colors and high degree, then the smaller label."""
+    prefix, prefer rare colors and high degree, then the smaller label.
+
+    The last three keys never change, so they are ranked once; a
+    vertex's score is its rank less k for each placed neighbour, and the
+    next vertex is the one with the lowest score (labels are distinct,
+    so scores never tie).
+    """
     class_size = Counter(colors)
-    labels, adj = g.labels, g.adj
-    placed_nbrs = [0] * len(labels)
+    labels, k = g.labels, len(g.labels)
+    degrees = g.degrees()
+    score = [0] * k
+    ranked = sorted(range(k), key=lambda u: (class_size[colors[u]], -degrees[u], labels[u]))
+    for r, u in enumerate(ranked):
+        score[u] = r
     order: list[int] = []
-    remaining = set(range(len(labels)))
+    remaining = set(range(k))
     while remaining:
-        v = min(
-            remaining,
-            key=lambda u: (-placed_nbrs[u], class_size[colors[u]], -len(adj[u]), labels[u]),
-        )
+        v = min(remaining, key=score.__getitem__)
         order.append(v)
         remaining.remove(v)
-        for w in adj[v]:
-            placed_nbrs[w] += 1
+        for w in _select(g.adj[v], range(k)):
+            score[w] -= k
     return order
 
 
@@ -397,34 +478,38 @@ def find_isomorphism(
     for v in sorted(range(k), key=h.labels.__getitem__):
         by_color.setdefault(ch[v], []).append(v)
     # back[d]: the neighbours of order[d] that come before it in the order
+    everyone = range(k)
     back: list[list[int]] = []
-    placed: set[int] = set()
+    placed = 0
     for v in order:
-        back.append([w for w in g.adj[v] if w in placed])
-        placed.add(v)
+        back.append(_select(g.adj[v] & placed, everyone))
+        placed |= 1 << v
 
+    h_adj = h.adj
     image = [0] * k  # image[v]: the h vertex that g vertex v is mapped to
-    used: set[int] = set()
+    used = 0  # the h vertices mapped onto so far, as a row
     cand_iters: list[Iterable[int]] = [iter(by_color.get(cg[order[0]], []))]
+    # targets[d]: the images of back[d], as a row; the images are distinct,
+    # so their sum is their union
+    targets = [0]
     depth = 0
     expanded = 0
 
     while depth >= 0:
+        target = targets[depth]
         for cand in cand_iters[depth]:
-            if cand in used:
+            if used >> cand & 1:
                 continue
             expanded += 1
             if expanded > budget:
                 return IsoResult("inconclusive", None, expanded)
-            # exact consistency with the mapped prefix: the mapped neighbours
-            # of the current vertex must land on neighbours of cand, and no
-            # other mapped vertex may, so non-edges match too
-            want = back[depth]
-            cn = h.adj[cand]
-            if any(image[w] not in cn for w in want) or len(cn & used) != len(want):
+            # exact consistency with the mapped prefix: the mapped vertices
+            # adjacent to cand are exactly the images of the current vertex's
+            # mapped neighbours, so edges and non-edges both match
+            if h_adj[cand] & used != target:
                 continue
             image[order[depth]] = cand
-            used.add(cand)
+            used |= 1 << cand
             depth += 1
             if depth == k:
                 witness = IsoWitness.from_dict({g.labels[v]: h.labels[image[v]] for v in range(k)})
@@ -432,20 +517,20 @@ def find_isomorphism(
                     raise RuntimeError("searcher built a witness that is not an isomorphism")
                 return IsoResult("isomorphic", witness, expanded)
             cand_iters.append(iter(by_color.get(cg[order[depth]], [])))
+            targets.append(sum(1 << image[w] for w in back[depth]))
             break
         else:
             cand_iters.pop()
+            targets.pop()
             depth -= 1
             if depth >= 0:
-                used.discard(image[order[depth]])
+                used ^= 1 << image[order[depth]]
     return IsoResult("not_isomorphic", None, expanded)
 
 
 # -- serialization -----------------------------------------------------------
 
 EXPORT_FORMATS = ("dot", "json", "edgelist", "incidence")
-
-T = TypeVar("T")
 
 
 def _ranked_rows(g: Graph, names: Sequence[T]) -> Iterator[tuple[T, list[T]]]:
@@ -454,17 +539,21 @@ def _ranked_rows(g: Graph, names: Sequence[T]) -> Iterator[tuple[T, list[T]]]:
     For each vertex in label order that has neighbours later in label
     order: its name and the names of those neighbours, in label order.
     ``names[i]`` stands for vertex i, so one walk serves labels, encoded
-    labels and indices alike.
+    labels and indices alike.  The vertices later in label order are
+    kept as a row, so each row is cut to its later neighbours before
+    their ranks are read and sorted.
     """
     labels = g.labels
-    by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = sorted(range(len(labels)), key=by_label.__getitem__)  # inverse of by_label
+    k = len(labels)
+    by_label = sorted(range(k), key=labels.__getitem__)
+    rank = sorted(range(k), key=by_label.__getitem__)  # inverse of by_label
     ranked = [names[i] for i in by_label]
+    later = (1 << k) - 1  # the vertices after the current one in label order
     for r, i in enumerate(by_label):
-        row = sorted(map(rank.__getitem__, g.adj[i]))
-        later = row[bisect_right(row, r) :]
-        if later:
-            yield ranked[r], list(map(ranked.__getitem__, later))
+        later ^= 1 << i
+        ranks = sorted(_select(g.adj[i] & later, rank))
+        if ranks:
+            yield ranked[r], list(map(ranked.__getitem__, ranks))
 
 
 def _check_exportable(g: Graph) -> None:
@@ -545,32 +634,39 @@ def parse_edgelist(text: str) -> Graph:
     Vertices referenced only by ``e`` lines are added implicitly, so
     plain two-column edge files load too.  The common ``e a b`` line is
     tested first, and a run of lines sharing their first label looks
-    that label up once.
+    that label up once.  Each vertex's neighbour indices are collected
+    in a list and its row is built from them once, at the end.
     """
-    g = Graph()
-    index, adj = g.index, g.adj
-    last, i, row = None, 0, set()
+    index: dict[str, int] = {}  # label -> index, in the order first seen
+    nbrs: list[list[int]] = []  # nbrs[i]: the indices read as i's neighbours
+    last, i, mine = None, 0, []
     for fields in map(str.split, text.splitlines()):
         if len(fields) == 3 and fields[0] == "e":
             _, a, b = fields
             if a == b:
                 raise ValueError(f"self-loop at {a!r} not allowed")
             if a != last:
-                i = g.add_vertex(a)
-                last, row = a, adj[i]
+                i = index.get(a)
+                if i is None:
+                    i = index[a] = len(nbrs)
+                    nbrs.append([])
+                last, mine = a, nbrs[i]
             j = index.get(b)
             if j is None:
-                j = g.add_vertex(b)
-            row.add(j)
-            adj[j].add(i)
+                j = index[b] = len(nbrs)
+                nbrs.append([])
+            mine.append(j)
+            nbrs[j].append(i)
         elif not fields or fields[0].startswith("#"):
             continue
         elif fields[0] == "v" and len(fields) == 2:
-            g.add_vertex(fields[1])
+            if fields[1] not in index:
+                index[fields[1]] = len(nbrs)
+                nbrs.append([])
         else:
             # how a line is read depends on its fields alone, so the first
             # line with these fields is the one that failed
             for ln, raw in enumerate(text.splitlines(), start=1):
                 if raw.split() == fields:
                     raise ValueError(f"line {ln}: cannot parse {raw!r}")
-    return g
+    return Graph.from_rows(index, [_row_of(js, len(nbrs)) for js in nbrs])

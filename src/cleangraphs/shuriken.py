@@ -36,20 +36,22 @@ def build_sh(t: int, n: int) -> Graph:
 
     # a_i, b_i, c_i have the indices i - 1, n + i - 1, 2n + i - 1, and the
     # 0-based index x mirrors to mirror[x]
-    g = Graph(f"{row}{i}" for row in "abc" for i in range(1, n + 1))
     mirror = [x if x < t else n + t - 1 - x for x in range(n)]
-    all_a, all_b = set(range(n)), set(range(n, 2 * n))
-    adj: list[set[int]] = []
+    all_a = (1 << n) - 1
+    all_b = all_a << n
+    rows: list[int] = []
     # an a (b) row: all of b (a), c at the mirror, and a (b) at the mirror above t
     for own, other in ((0, all_b), (n, all_a)):
-        adj += [
-            other | ({2 * n + m, own + m} if x >= t else {2 * n + m})
+        rows += [
+            other | 1 << (2 * n + m) | (1 << (own + m) if x >= t else 0)
             for x, m in enumerate(mirror)
         ]
     # a c row: a and b at the mirror, and c at the mirror above t
-    adj += [{m, n + m, 2 * n + m} if x >= t else {m, n + m} for x, m in enumerate(mirror)]
-    g.adj = adj
-    return g
+    rows += [
+        1 << m | 1 << (n + m) | (1 << (2 * n + m) if x >= t else 0)
+        for x, m in enumerate(mirror)
+    ]
+    return Graph.from_rows((f"{row}{i}" for row in "abc" for i in range(1, n + 1)), rows)
 
 
 def copy_label(v: str, i: int) -> str:
@@ -80,16 +82,16 @@ def build_shu(g: Graph, t: int, n: int) -> Graph:
     full = g.labels + ["z"]
     w = len(full)
     # vertex x of copy i (x = w - 1 the hub) has index (i - 1) * w + x
-    out = Graph(copy_label(v, i) for i in range(1, n + 1) for v in full)
-    lifted = [{j * w + y for j in range(n) for y in row} for row in g.adj] + [set()]
-    adj: list[set[int]] = []
+    one_copy = (1 << w) - 1
+    # a row of g repeated in every copy: a w-bit row times a bit every w
+    # places is its copies side by side, none overlapping
+    every_copy = sum(1 << (j * w) for j in range(n))
+    lifted = [row * every_copy for row in g.adj] + [0]
+    rows: list[int] = []
     for i in range(1, n + 1):
         # copy i is completed (i <= t) or joined to its mirror copy
         c = i if i <= t else n + t + 1 - i
-        whole = range((c - 1) * w, c * w)
+        whole = one_copy << ((c - 1) * w)
         for x in range(w):
-            row = lifted[x].union(whole)
-            row.discard(len(adj))
-            adj.append(row)
-    out.adj = adj
-    return out
+            rows.append((lifted[x] | whole) & ~(1 << len(rows)))
+    return Graph.from_rows((copy_label(v, i) for i in range(1, n + 1) for v in full), rows)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cleangraphs.cleangraph import closed_form_degrees
 from cleangraphs.cli import THEOREMS, _exit_code, main
 from cleangraphs.verify import TheoremReport
 
@@ -230,6 +231,36 @@ def test_verify_rejects_both_modulus_and_range(capsys):
         main(["verify", "degree", "10", "--range", "2..5"])
 
 
+def test_verify_takes_a_modulus_typed_after_the_options(capsys):
+    # argparse leaves the optional modulus empty once an option follows the
+    # command words; the modulus at the end is still the modulus
+    for before, after in (
+        ("verify degree 10 --stable", "verify degree --stable 10"),
+        ("verify general 30 --json --stable", "verify general --json --stable 30"),
+    ):
+        want = run(capsys, *before.split())
+        assert want[0] == 0
+        assert run(capsys, *after.split()) == want
+    # a second modulus is still refused
+    with pytest.raises(SystemExit) as exc:
+        main("verify degree 10 --stable 11".split())
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: 11" in capsys.readouterr().err
+
+
+def test_build_reads_a_modulus_typed_after_the_options(capsys):
+    # the trailing number is read as the modulus, so the usage error names
+    # the argument the family does not take instead of "unrecognized 6"
+    for argv, message in (
+        ("build cl2 --t 2 6", "error: build cl2 does not take --t"),
+        ("build sh --t 2 --n 6 7", "error: build sh does not take a modulus"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,unread",
     [
@@ -405,3 +436,15 @@ def test_verify_all_range_matches_golden(capsys):
     assert code == 0
     assert err == ""
     assert out.encode() == _golden_bytes("verify_all_2_40.txt")
+
+
+def test_verify_general_2310_golden_agrees_with_the_degree_law():
+    # CI diffs `verify general 2310 --json --stable` against this file; its
+    # vertex and edge counts are held here to the closed-form degrees, which
+    # read the ring alone, so the pin is checked by more than the code that
+    # wrote it
+    (report,) = json.loads(_golden_bytes("verify_general_2310.json"))
+    assert (report["instance"], report["status"]) == ("n=2310", "pass")
+    degrees = [predicted for predicted, _ in closed_form_degrees(2310)]
+    assert report["evidence"]["vertices"] == len(degrees) == 14880
+    assert 2 * report["evidence"]["edges"] == sum(degrees)

@@ -4,6 +4,7 @@ isomorphism search, serialization."""
 import csv
 import io
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from cleangraphs.graph import (
     ComponentSummary,
     Graph,
     IsoWitness,
+    _row_of,
+    _select,
     canonical_form,
     complete_graph,
     disjoint_union,
@@ -53,7 +56,7 @@ def test_repeated_labels_keep_their_first_position():
     g = Graph(["b", "a", "b", "c", "a"], [("c", "d")])
     assert g.labels == ["b", "a", "c", "d"]
     assert g.index == {"b": 0, "a": 1, "c": 2, "d": 3}
-    assert g.adj == [set(), set(), {3}, {2}]
+    assert g.adj == [0, 0, 1 << 3, 1 << 2]
 
 
 def test_rejects_self_loop():
@@ -90,6 +93,32 @@ def test_handshake(g):
 def test_degree_sequence_is_sorted(g):
     seq = g.degree_sequence()
     assert list(seq) == sorted(seq, reverse=True)
+
+
+# -- bitset rows against their literal reading ---------------------------------------
+
+
+@st.composite
+def rows(draw):
+    """A width and a row of that width, from empty through sparse to full,
+    so that each way of reading and building a row is drawn."""
+    width = draw(st.integers(min_value=0, max_value=300))
+    share = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return width, sum(1 << j for j in range(width) if rng.random() < share)
+
+
+@given(rows())
+@settings(max_examples=300, deadline=None)
+def test_row_helpers_match_a_bit_by_bit_reading(spec):
+    width, row = spec
+    members = [j for j in range(width) if row >> j & 1]
+    assert _select(row, range(width)) == members
+    names = [f"x{j}" for j in range(width)]
+    assert _select(row, names) == [names[j] for j in members]
+    assert _row_of(members, width) == row
+    # repeats and any order build the same row
+    assert _row_of(members[::-1] + members[: len(members) // 2], width) == row
 
 
 # -- induced subgraphs and unions --------------------------------------------------
@@ -396,10 +425,11 @@ def literal_edges(g: Graph) -> tuple[tuple[str, str], ...]:
     labels = g.labels
     by_label = sorted(range(len(labels)), key=labels.__getitem__)
     rank = sorted(range(len(labels)), key=by_label.__getitem__)  # inverse of by_label
+    k = len(labels)
     return tuple(
         (labels[i], labels[by_label[s]])
         for r, i in enumerate(by_label)
-        for s in sorted(rank[j] for j in g.adj[i] if rank[j] > r)
+        for s in sorted(rank[j] for j in range(k) if rank[j] > r and g.adj[i] >> j & 1)
     )
 
 
@@ -443,7 +473,7 @@ def literal_export(g: Graph, fmt: str) -> str:
 
 def literal_parse_edgelist(text: str) -> Graph:
     g = Graph()
-    index, adj = g.index, g.adj
+    index = g.index
     for ln, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
@@ -458,8 +488,7 @@ def literal_parse_edgelist(text: str) -> Graph:
             j = index.get(b)
             if j is None:
                 j = g.add_vertex(b)
-            adj[i].add(j)
-            adj[j].add(i)
+            g.link(i, j)
         elif fields[0] == "v" and len(fields) == 2:
             g.add_vertex(fields[1])
         else:
@@ -513,6 +542,13 @@ def test_export_matches_literal_export(g):
 def test_export_refuses_what_literal_export_refuses(g):
     for fmt in EXPORT_FORMATS:
         assert outcome(export, g, fmt) == outcome(literal_export, g, fmt)
+
+
+@pytest.mark.parametrize("n", [90, 210])
+def test_parse_edgelist_matches_literal_parser_on_cl2(n):
+    # rows of several hundred bits, dense and sparse
+    text = export(cl2(n), "edgelist")
+    assert parsed(parse_edgelist, text) == parsed(literal_parse_edgelist, text)
 
 
 @pytest.mark.parametrize("n", [30, 90])

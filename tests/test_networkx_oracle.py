@@ -76,6 +76,43 @@ def test_components_match_networkx(g):
     assert g.is_connected() == (g.num_vertices == 0 or nx.is_connected(to_nx(g)))
 
 
+@st.composite
+def labelled_specs(draw, max_vertices=12):
+    """Distinct labels in a shuffled order and a set of edges between them:
+    the label order, the index order and the edge order all differ."""
+    k = draw(st.integers(min_value=0, max_value=max_vertices))
+    names = st.text(alphabet="abxyz019", min_size=1, max_size=3)
+    labels = draw(st.lists(names, min_size=k, max_size=k, unique=True))
+    pairs = list(combinations(labels, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return draw(st.permutations(labels)), [tuple(draw(st.permutations(e))) for e in chosen]
+
+
+@given(labelled_specs())
+@settings(max_examples=200, deadline=None)
+def test_graph_reads_match_networkx(spec):
+    labels, edges = spec
+    g = Graph(labels, edges)
+    ref = nx.Graph()
+    ref.add_nodes_from(labels)
+    ref.add_edges_from(edges)
+    assert g.degrees() == [ref.degree(v) for v in labels]
+    for v in labels:
+        assert g.degree(v) == ref.degree(v)
+        assert g.neighbors(v) == frozenset(ref.neighbors(v))
+    assert g.num_edges == ref.number_of_edges()
+    assert g.edges() == tuple(sorted(tuple(sorted(e)) for e in ref.edges()))
+    # components largest first, ties by their labels in index order
+    in_index_order = [tuple(sorted(c, key=labels.index)) for c in nx.connected_components(ref)]
+    in_index_order.sort(key=lambda c: (-len(c), c))
+    comps = g.connected_components()
+    assert [c.vertices for c in comps] == in_index_order
+    for c in comps:
+        want = ref.subgraph(c.vertices).edges()
+        assert c.edges() == tuple(sorted(tuple(sorted(e)) for e in want))
+    assert g.is_connected() == (not labels or nx.is_connected(ref))
+
+
 def test_refinement_blind_pair_is_decided_correctly():
     # both 2-regular on 6 vertices: colour refinement leaves one class
     c6, two_c3 = c6_and_two_triangles()

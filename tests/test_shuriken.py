@@ -171,9 +171,9 @@ def literal_shu(g: Graph, t: int, n: int) -> Graph:
     out = Graph()
     # at[i][x]: the vertex index of full[x] in copy i
     at = {i: [out.add_vertex(copy_label(v, i)) for v in full] for i in range(1, n + 1)}
-    for x, row in enumerate(g.adj):
-        for y in row:
-            if x < y:
+    for x in range(len(g.labels)):
+        for y in range(x + 1, len(g.labels)):
+            if g.adj[x] >> y & 1:
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         out.link(at[i][x], at[j][y])

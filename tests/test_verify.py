@@ -283,3 +283,97 @@ def test_benchmark_tracer_attributes_every_numeric_theorem(monkeypatch):
         "verify.self_inverse_count",
         "verify.two_prime_isomorphism",
     }
+
+
+# -- planted defects: each verifier must report what it reads wrongly ----------
+#
+# The defect goes into the graph a verifier reads (through the module
+# attribute it calls), never into the verifier.  Graphs are rebuilt from
+# their label and edge lists, so these tests hold whatever the store.
+
+
+def without_edges(g: Graph, dropped) -> Graph:
+    return Graph(g.vertices, [e for e in g.edges() if e not in dropped])
+
+
+def with_edge(g: Graph, added) -> Graph:
+    return Graph(g.vertices, g.edges() + (added,))
+
+
+def plant(monkeypatch, name, defect):
+    """Rebind verify.<name> so that what it returns passes through defect."""
+    real = getattr(verify_module, name)
+    monkeypatch.setattr(verify_module, name, lambda *args: defect(real(*args)))
+
+
+def test_degree_formula_fails_on_a_dropped_edge(monkeypatch):
+    edge = verify_module.cl2(10).edges()[0]
+    plant(monkeypatch, "cl2", lambda g: without_edges(g, {edge}))
+    r = verify_degree_formula(10)
+    assert r.status == "fail"
+    assert set(r.evidence) == {"vertex", "actual", "predicted"}
+    assert r.evidence["actual"] == r.evidence["predicted"] - 1
+    e, u = r.evidence["vertex"]
+    assert f"({e},{u})" in edge
+
+
+def test_counterexample_report_fails_on_a_dropped_edge(monkeypatch):
+    edge = verify_module.cl2(10).edges()[0]
+    plant(monkeypatch, "cl2", lambda g: without_edges(g, {edge}))
+    r = report_counterexample(10)
+    assert r.status == "fail"
+    assert set(r.evidence) == {"vertex", "actual", "corrected"}
+    assert r.evidence["actual"] == r.evidence["corrected"] - 1
+    assert r.detail.startswith("corrected formula itself disagrees at")
+
+
+def mirror_joins(shu: Graph, base: Graph, t: int, n: int):
+    """The edges of Shu(base, t, n) that join copy i to its mirror copy
+    n + t + 1 - i (i > t) without lifting an edge of base."""
+    lifted = set(base.edges()) | {(b, a) for a, b in base.edges()}
+    joins = set()
+    for a, b in shu.edges():
+        (x, i), (y, j) = (v.rsplit("@", 1) for v in (a, b))
+        i, j = int(i), int(j)
+        if i != j and i + j == n + t + 1 and (x, y) not in lifted:
+            joins.add((a, b))
+    return joins
+
+
+def test_general_fails_on_a_missing_mirror_join(monkeypatch):
+    real = verify_module.build_shu
+
+    def one_join_dropped(base, t, n):
+        shu = real(base, t, n)
+        return without_edges(shu, {min(mirror_joins(shu, base, t, n))})
+
+    monkeypatch.setattr(verify_module, "build_shu", one_join_dropped)
+    r = verify_general(30)
+    assert r.status == "fail"
+    assert r.detail == "constructed witness is not an isomorphism"
+    assert r.evidence == {"t": 4, "k": 8, "vertices": 56}
+
+
+def test_prime_power_fails_on_an_extra_edge(monkeypatch):
+    # (1,1) and (1,24) are self-inverse, so both are isolated in cl2(Z_25)
+    plant(monkeypatch, "cl2", lambda g: with_edge(g, ("(1,1)", "(1,24)")))
+    r = verify_prime_power(25)
+    assert r.status == "fail"
+    assert set(r.evidence) == {"actual", "predicted"}
+    assert r.evidence["predicted"] == "2 x (1v,0e) + 9 x (2v,1e)"
+    assert r.evidence["actual"] == "10 x (2v,1e)"
+
+
+def test_shu_connectivity_fails_without_the_joins(monkeypatch):
+    real = verify_module.build_shu
+
+    def joins_dropped(base, t, n):
+        shu = real(base, t, n)
+        return without_edges(shu, mirror_joins(shu, base, t, n))
+
+    monkeypatch.setattr(verify_module, "build_shu", joins_dropped)
+    # the hubs of the two mirrored copies lose every edge
+    r = verify_shu_connectivity(path_graph(3), 2, 4)
+    assert r.status == "fail"
+    assert r.evidence == {"components": 3, "input_null": False}
+    assert r.detail == "input non-null but result has 3 component(s)"
