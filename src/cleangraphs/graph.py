@@ -22,13 +22,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, permutations
+from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
-
-# exact canonicalization is factorial in component size; above this we
-# fall back to invariant comparison
-MAX_CANON_VERTICES = 8
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -166,15 +162,8 @@ class Graph:
     def has_vertex(self, v: str) -> bool:
         return v in self.index
 
-    def has_edge(self, a: str, b: str) -> bool:
-        i, j = self.index.get(a), self.index.get(b)
-        return i is not None and j is not None and bool(self.adj[i] >> j & 1)
-
     def neighbors(self, v: str) -> frozenset[str]:
         return frozenset(_select(self.adj[self.index[v]], self.labels))
-
-    def degree(self, v: str) -> int:
-        return self.adj[self.index[v]].bit_count()
 
     def degrees(self) -> list[int]:
         """Every vertex's degree, in index order."""
@@ -202,21 +191,6 @@ class Graph:
         nbrs = [[new[j] for j in _select(self.adj[i] & part, everyone)] for i in keep]
         rows = [_row_of(js, len(keep)) for js in nbrs]
         return Graph.from_rows([self.labels[i] for i in keep], rows)
-
-    def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
-        keep_set = set(keep)
-        missing = keep_set - self.index.keys()
-        if missing:
-            raise ValueError(f"not vertices of this graph: {sorted(missing)}")
-        return self._subgraph(_row_of([self.index[v] for v in keep_set], len(self.labels)))
-
-    def relabel(self, mapping: Mapping[str, str]) -> "Graph":
-        """Injectively rename every vertex."""
-        if set(mapping) != self.index.keys():
-            raise ValueError("mapping must cover exactly the vertex set")
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("mapping must be injective")
-        return Graph.from_rows((mapping[v] for v in self.labels), list(self.adj))
 
     def _component(self, start: int) -> int:
         """The set of vertices reachable from index ``start``, as a row:
@@ -246,90 +220,12 @@ class Graph:
 # -- stock constructions -------------------------------------------------------
 
 
-def _labels(k: int) -> list[str]:
+def complete_graph(k: int) -> Graph:
     if k < 0:
         raise ValueError("vertex count must be >= 0")
-    return [f"v{i}" for i in range(1, k + 1)]
-
-
-def complete_graph(k: int) -> Graph:
-    labels = _labels(k)
+    labels = [f"v{i}" for i in range(1, k + 1)]
     everyone = (1 << k) - 1
     return Graph.from_rows(labels, [everyone ^ 1 << i for i in range(k)])
-
-
-def empty_graph(k: int) -> Graph:
-    return Graph(_labels(k))
-
-
-def path_graph(k: int) -> Graph:
-    g = Graph(_labels(k))
-    for i in range(k - 1):
-        g.link(i, i + 1)
-    return g
-
-
-def disjoint_union(graphs: Iterable[Graph]) -> Graph:
-    """Disjoint union; vertex v of the i-th input becomes ``p{i}_{v}``."""
-    labels: list[str] = []
-    rows: list[int] = []
-    for i, g in enumerate(graphs):
-        # the input's rows, moved up past the vertices before it
-        offset = len(labels)
-        rows += [row << offset for row in g.adj]
-        labels += [f"p{i}_{v}" for v in g.labels]
-    return Graph.from_rows(labels, rows)
-
-
-# -- canonical forms and component summaries -----------------------------------
-
-
-def canonical_form(g: Graph) -> tuple[int, int] | None:
-    """(k, code) minimal over all vertex orderings, or None above the cap.
-
-    ``code`` packs the upper triangle of the permuted adjacency matrix
-    into an int, so equal forms mean isomorphic graphs (exactly).
-    """
-    k = g.num_vertices
-    if k > MAX_CANON_VERTICES:
-        return None
-    best: int | None = None
-    for perm in permutations(range(k)):
-        code = 0
-        for i in range(k):
-            row = g.adj[perm[i]]
-            for j in range(i + 1, k):
-                code = code << 1 | (row >> perm[j] & 1)
-        if best is None or code < best:
-            best = code
-    return (k, best if best is not None else 0)
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """Multiset of per-component keys, exact for small components.
-
-    Each key is (vertices, edges, degree sequence, canonical form or
-    None).  Two graphs with equal summaries have matching component
-    structure; when every component fits under the canonicalization cap
-    the match is exact isomorphism type by type.
-    """
-
-    counts: tuple[tuple[tuple, int], ...]
-
-    @classmethod
-    def of(cls, g: Graph) -> "ComponentSummary":
-        keys = Counter(
-            (c.num_vertices, c.num_edges, c.degree_sequence(), canonical_form(c))
-            for c in g.connected_components()
-        )
-        return cls(tuple(sorted(keys.items())))
-
-    def describe(self) -> str:
-        parts = []
-        for (nv, ne, _, _), mult in self.counts:
-            parts.append(f"{mult} x ({nv}v,{ne}e)")
-        return " + ".join(parts) if parts else "empty"
 
 
 # -- isomorphism -----------------------------------------------------------
@@ -354,10 +250,6 @@ class IsoResult:
     status: Literal["isomorphic", "not_isomorphic", "inconclusive"]
     witness: IsoWitness | None
     nodes_expanded: int
-
-    @property
-    def decided(self) -> bool:
-        return self.status != "inconclusive"
 
 
 def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) -> bool:

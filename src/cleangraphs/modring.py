@@ -89,13 +89,9 @@ class ModRing:
 
     # -- CRT ----------------------------------------------------------------
 
-    def crt_decompose(self, a: int) -> tuple[int, ...]:
-        """Residues of a modulo each prime power, in factor order."""
-        self._check_element(a)
-        return tuple(a % q for q in self.prime_power_moduli)
-
     def crt_compose(self, residues: tuple[int, ...]) -> int:
-        """Inverse of :meth:`crt_decompose`."""
+        """The element of Z_n with the given residues modulo each prime
+        power, in factor order."""
         if len(residues) != len(self.prime_power_moduli):
             raise ValueError("wrong number of residues")
         for r, q in zip(residues, self.prime_power_moduli):
@@ -151,9 +147,6 @@ class ModRing:
             1,
         )
 
-    def inverse(self, u: int) -> int:
-        return pow(u, -1, self.modulus)
-
     def annihilating_idempotent_count(self, e: int) -> int:
         """Number of nonzero idempotents f with e*f = 0 (mod n).
 
@@ -165,16 +158,6 @@ class ModRing:
         mask = self.support(e)
         zero_coords = self.num_primes - bin(mask).count("1")
         return (1 << zero_coords) - 1
-
-    def clean_decompositions(self, a: int) -> list[tuple[int, int]]:
-        """All (e, u) with e idempotent, u a unit, e + u = a (mod n)."""
-        self._check_element(a)
-        out = []
-        for e in self.idempotents():
-            u = (a - e) % self.modulus
-            if gcd(u, self.modulus) == 1:
-                out.append((e, u))
-        return out
 
     @_computed_once
     def unit_partition(self) -> UnitPartition:
@@ -205,12 +188,6 @@ class UnitPartition:
 
     def ordered_units(self) -> tuple[int, ...]:
         return self.self_inverse + self.paired
-
-    def mirror(self, i: int) -> int:
-        """Partner index of the 1-based unit index i under the pairing."""
-        if i <= self.t:
-            return i
-        return self.k + self.t + 1 - i
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The inverse couples (u, u^-1) in layout order."""

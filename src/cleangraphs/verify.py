@@ -20,19 +20,13 @@ from __future__ import annotations
 import functools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal
 
 from . import _kernels
 from .cleangraph import _ring, cl2, cl2_pairs, closed_form_degrees, idempotent_graph, pair_label
-from .graph import (
-    ComponentSummary,
-    Graph,
-    complete_graph,
-    disjoint_union,
-    find_isomorphism,
-    verify_mapping,
-)
+from .graph import Graph, complete_graph, find_isomorphism, verify_mapping
 from .modring import ModRing
 from .shuriken import build_sh, build_shu, copy_label, hub_label, is_null
 
@@ -161,48 +155,42 @@ def report_counterexample(n: ModRing | int) -> _Outcome:
 # -- prime powers ---------------------------------------------------------------
 
 
-def _expected_prime_power_components(p: int, m: int) -> Graph:
-    """Predicted component shape of cl2(Z_{p^m}) as an explicit graph."""
-    q = p**m
-    if q == 2:
-        pieces = [complete_graph(1)]
-    elif q == 4:
-        pieces = [complete_graph(1)] * 2
-    elif p == 2:
-        pieces = [complete_graph(1)] * 4 + [complete_graph(2)] * (
-            2 ** (m - 1) - 2 ** (m - 2) - 2
-        )
-    else:
-        pieces = [complete_graph(1)] * 2 + [complete_graph(2)] * (
-            (q - q // p) // 2 - 1
-        )
-    return disjoint_union(pieces)
+def _describe(shapes: Counter) -> str:
+    """Each component shape (V, E) with its count m as "m x (Vv,Ee)",
+    shapes in ascending order."""
+    return " + ".join(f"{mult} x ({nv}v,{ne}e)" for (nv, ne), mult in sorted(shapes.items()))
 
 
 @_timed("prime_power_components")
 def verify_prime_power(n: ModRing | int) -> _Outcome:
     """cl2(Z_{p^m}) must decompose into the predicted isolated vertices
-    and disjoint edges; rejected unless n is a prime power."""
+    and disjoint edges; rejected unless n is a prime power.
+
+    Components are counted by (vertices, edges).  That is exact here: a
+    component with one vertex is K1, one with two vertices and an edge is
+    K2, and any other component has another count, so it fails.
+    """
     ring = _ring(n)
     if ring.num_primes != 1:
         return f"n={ring.modulus}", "rejected", "modulus is not a prime power", {}
     ((p, m),) = ring.factorization
     instance = f"p={p} m={m}"
-    actual = ComponentSummary.of(cl2(ring))
-    expected = ComponentSummary.of(_expected_prime_power_components(p, m))
-    if actual == expected:
-        return (
-            instance,
-            "pass",
-            f"components are {actual.describe()}",
-            {"components": actual.describe()},
-        )
-    return (
-        instance,
-        "fail",
-        f"got {actual.describe()}, predicted {expected.describe()}",
-        {"actual": actual.describe(), "predicted": expected.describe()},
-    )
+    q = p**m
+    if q == 2:
+        isolated, edges = 1, 0
+    elif q == 4:
+        isolated, edges = 2, 0
+    elif p == 2:
+        isolated, edges = 4, 2 ** (m - 1) - 2 ** (m - 2) - 2
+    else:
+        isolated, edges = 2, (q - q // p) // 2 - 1
+    predicted = +Counter({(1, 0): isolated, (2, 1): edges})  # "+" drops a zero count
+    actual = Counter((c.num_vertices, c.num_edges) for c in cl2(ring).connected_components())
+    got = _describe(actual)
+    if actual == predicted:
+        return instance, "pass", f"components are {got}", {"components": got}
+    want = _describe(predicted)
+    return instance, "fail", f"got {got}, predicted {want}", {"actual": got, "predicted": want}
 
 
 # -- two prime factors ------------------------------------------------------------

@@ -7,18 +7,10 @@ regressions, not machine noise.
 """
 
 import time
-from itertools import combinations
 
-from cleangraphs.cleangraph import cl2, idempotent_graph
+from cleangraphs.cleangraph import idempotent_graph
 from cleangraphs.cli import main
-from cleangraphs.graph import (
-    ComponentSummary,
-    Graph,
-    canonical_form,
-    complete_graph,
-    disjoint_union,
-    find_isomorphism,
-)
+from cleangraphs.graph import Graph, find_isomorphism
 from cleangraphs.modring import factorize, is_prime, self_inverse_closed_form
 from cleangraphs._kernels import square_roots_of_one
 from cleangraphs.verify import (
@@ -31,6 +23,7 @@ from cleangraphs.verify import (
     verify_shu_connectivity,
 )
 
+from graph_helpers import graph_types
 from test_cli import GOLDEN, run
 
 
@@ -64,15 +57,9 @@ def test_c03_prime_power_components():
             checked += 1
             m += 1
     # the three named shapes, pinned explicitly
-    assert ComponentSummary.of(cl2(8)) == ComponentSummary.of(
-        disjoint_union([complete_graph(1)] * 4)
-    )
-    assert ComponentSummary.of(cl2(9)) == ComponentSummary.of(
-        disjoint_union([complete_graph(1)] * 2 + [complete_graph(2)] * 2)
-    )
-    assert ComponentSummary.of(cl2(25)) == ComponentSummary.of(
-        disjoint_union([complete_graph(1)] * 2 + [complete_graph(2)] * 9)
-    )
+    assert verify_prime_power(8).evidence["components"] == "4 x (1v,0e)"
+    assert verify_prime_power(9).evidence["components"] == "2 x (1v,0e) + 2 x (2v,1e)"
+    assert verify_prime_power(25).evidence["components"] == "2 x (1v,0e) + 9 x (2v,1e)"
     print(f"c03 component structure exact for all {checked} prime powers <= 200")
 
 
@@ -135,17 +122,7 @@ def test_c07_sh_shu_bridge():
 
 
 def test_c08_connectivity_suite():
-    reps = []
-    seen = set()
-    for k in range(1, 6):
-        labels = [f"v{i}" for i in range(1, k + 1)]
-        pairs = list(combinations(labels, 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph(labels, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-            c = canonical_form(g)
-            if c not in seen:
-                seen.add(c)
-                reps.append(g)
+    reps = [g for k in range(1, 6) for g in graph_types(k)]
     assert len(reps) == 52  # graphs on 1..5 vertices up to isomorphism
     violations = 0
     instances = 0

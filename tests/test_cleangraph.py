@@ -24,6 +24,8 @@ from cleangraphs.cleangraph import (
 from cleangraphs.graph import Graph, export
 from cleangraphs.modring import ModRing, factorize
 
+from graph_helpers import induced_subgraph
+
 moduli = st.integers(min_value=2, max_value=80)
 
 
@@ -116,7 +118,7 @@ def test_clean_graph_of_4():
     g = clean_graph(4)
     assert g.num_vertices == 4
     assert g.num_edges == 5
-    assert not g.has_edge("(1,1)", "(1,3)")
+    assert "(1,3)" not in g.neighbors("(1,1)")
 
 
 def test_cl1_is_a_clique():
@@ -134,8 +136,8 @@ def test_pieces_are_induced_subgraphs_of_clean(n):
     nonzero_block = [
         pair_label(e, u) for e in ring.nonzero_idempotents() for u in ring.units()
     ]
-    assert whole.induced_subgraph(zero_block) == cl1(ring)
-    assert whole.induced_subgraph(nonzero_block) == cl2(ring)
+    assert induced_subgraph(whole, zero_block) == cl1(ring)
+    assert induced_subgraph(whole, nonzero_block) == cl2(ring)
     assert whole.num_vertices == len(zero_block) + len(nonzero_block)
 
 
@@ -146,9 +148,10 @@ def test_adjacency_matches_defining_predicate(n):
     ring = factorize(n)
     pairs = [(e, u) for e in ring.idempotents() for u in ring.units()]
     for i, (e, u) in enumerate(pairs):
+        nbrs = g.neighbors(pair_label(e, u))
         for f, v in pairs[i + 1 :]:
             want = e * f % n == 0 or u * v % n == 1
-            assert g.has_edge(pair_label(e, u), pair_label(f, v)) == want
+            assert (pair_label(f, v) in nbrs) == want
 
 
 def test_predicted_degree_examples():
@@ -177,7 +180,7 @@ def test_degree_formula_against_built_graph(n):
     g = cl2(ring)
     for e in ring.nonzero_idempotents():
         for u in ring.units():
-            assert g.degree(pair_label(e, u)) == predicted_degree(ring, e, u)
+            assert len(g.neighbors(pair_label(e, u))) == predicted_degree(ring, e, u)
 
 
 @pytest.mark.parametrize("n", range(2, 301))

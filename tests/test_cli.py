@@ -14,6 +14,8 @@ from cleangraphs.cleangraph import closed_form_degrees
 from cleangraphs.cli import THEOREMS, _exit_code, main
 from cleangraphs.verify import TheoremReport
 
+from test_verify import plant, with_edge
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -139,6 +141,17 @@ def test_verify_all_on_one_modulus(capsys):
         "self_inverse_count",
         "two_prime_isomorphism",
     ]
+
+
+def test_verify_failed_instance_exits_1(capsys, monkeypatch):
+    # (1,1) and (1,24) are isolated in cl2(Z_25); one edge joins them
+    plant(monkeypatch, "cl2", lambda g: with_edge(g, ("(1,1)", "(1,24)")))
+    code, out, _ = run(capsys, "verify", "prime-power", "25", "--stable")
+    assert code == 1
+    assert out == (
+        "[FAIL] prime_power_components p=5 m=2: "
+        "got 10 x (2v,1e), predicted 2 x (1v,0e) + 9 x (2v,1e)\n"
+    )
 
 
 def test_verify_rejected_instance_exits_2(capsys):

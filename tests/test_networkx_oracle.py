@@ -1,4 +1,4 @@
-"""The searcher, the component split and the component summary against
+"""The searcher, the graph reads and the component split against
 networkx as an independent reference (VF2++: Juttner & Madarasi,
 Discrete Applied Mathematics, 2018).  Test-only: skipped where networkx
 is missing."""
@@ -8,14 +8,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cleangraphs.graph import (
-    ComponentSummary,
-    Graph,
-    _joint_refinement,
-    disjoint_union,
-    find_isomorphism,
-    verify_mapping,
-)
+from cleangraphs.graph import Graph, _joint_refinement, find_isomorphism, verify_mapping
+
+from graph_helpers import disjoint_union, relabel
 
 nx = pytest.importorskip("networkx")
 
@@ -45,7 +40,7 @@ def graph_pairs(draw, max_vertices=7):
     if draw(st.booleans()):
         return g, draw(graphs(k, "w"))
     names = draw(st.permutations([f"w{i}" for i in range(1, k + 1)]))
-    h = g.relabel(dict(zip(g.vertices, names)))
+    h = relabel(g, dict(zip(g.vertices, names)))
     return g, Graph(draw(st.permutations(list(h.vertices))), h.edges())
 
 
@@ -62,7 +57,7 @@ def c6_and_two_triangles():
 def test_searcher_verdict_matches_vf2pp(pair):
     g, h = pair
     res = find_isomorphism(g, h)
-    assert res.decided
+    assert res.status != "inconclusive"
     assert (res.status == "isomorphic") == nx.vf2pp_is_isomorphic(to_nx(g), to_nx(h))
     if res.witness is not None:
         assert verify_mapping(g, h, res.witness)
@@ -98,7 +93,7 @@ def test_graph_reads_match_networkx(spec):
     ref.add_edges_from(edges)
     assert g.degrees() == [ref.degree(v) for v in labels]
     for v in labels:
-        assert g.degree(v) == ref.degree(v)
+        assert len(g.neighbors(v)) == ref.degree(v)
         assert g.neighbors(v) == frozenset(ref.neighbors(v))
     assert g.num_edges == ref.number_of_edges()
     assert g.edges() == tuple(sorted(tuple(sorted(e)) for e in ref.edges()))
@@ -177,60 +172,9 @@ def test_cfi_pair_with_tiny_budget_is_inconclusive():
 def test_cfi_graph_is_isomorphic_to_a_relabelled_copy():
     g, _ = cfi_pair_over_k4()
     names = {v: f"w{i}" for i, v in enumerate(reversed(g.vertices))}
-    copy = g.relabel(names)
+    copy = relabel(g, names)
     copy = Graph(sorted(copy.vertices), copy.edges())
     res = find_isomorphism(g, copy)
     assert res.status == "isomorphic"
     assert verify_mapping(g, copy, res.witness)
 
-
-def nx_components_match(g: Graph, h: Graph) -> bool:
-    """networkx pairs off the components of g and h one to one, each with
-    an isomorphic partner.  Isomorphism is an equivalence, so taking the
-    first unmatched partner never blocks a matching that exists."""
-    left, right = to_nx(g), to_nx(h)
-    unmatched = [right.subgraph(c) for c in nx.connected_components(right)]
-    for c in nx.connected_components(left):
-        part = left.subgraph(c)
-        partner = next((d for d in unmatched if nx.is_isomorphic(part, d)), None)
-        if partner is None:
-            return False
-        unmatched.remove(partner)
-    return not unmatched
-
-
-@st.composite
-def summary_pairs(draw, max_vertices=8):
-    """Two graphs of 0..8 vertices: independent, or a relabelled copy of
-    the first that is left alone, has one vertex pair toggled, or has
-    two edges swapped.  The swap keeps every degree, so only the
-    canonical forms can tell such a pair apart."""
-    g = draw(graphs(draw(st.integers(min_value=0, max_value=max_vertices)), "v"))
-    kind = draw(st.sampled_from(["independent", "copy", "toggled", "swapped"]))
-    if kind == "independent":
-        return g, draw(graphs(draw(st.integers(min_value=0, max_value=max_vertices)), "w"))
-    edges = set(g.edges())
-    if kind == "toggled" and g.num_vertices >= 2:
-        edges ^= {tuple(sorted(draw(st.permutations(list(g.vertices)))[:2]))}
-    if kind == "swapped":
-        # ab, cd -> ad, cb (or ac, bd) where neither new edge is there yet
-        swaps = [
-            ({(a, b), (c, d)}, new)
-            for (a, b), (c, d) in combinations(sorted(edges), 2)
-            for x, y in ((c, d), (d, c))
-            if len({a, b, x, y}) == 4
-            and not (new := {tuple(sorted((a, y))), tuple(sorted((x, b)))}) & edges
-        ]
-        if swaps:
-            old, new = draw(st.sampled_from(swaps))
-            edges = edges - old | new
-    names = dict(zip(g.vertices, draw(st.permutations([f"w{i}" for i in range(g.num_vertices)]))))
-    h = Graph(draw(st.permutations(list(names.values()))), [(names[a], names[b]) for a, b in edges])
-    return g, h
-
-
-@given(summary_pairs())
-@settings(max_examples=300, deadline=None)
-def test_component_summary_matches_networkx(pair):
-    g, h = pair
-    assert (ComponentSummary.of(g) == ComponentSummary.of(h)) == nx_components_match(g, h)

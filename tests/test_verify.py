@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from cleangraphs import cleangraph as cleangraph_module, verify as verify_module
-from cleangraphs.graph import Graph, complete_graph, empty_graph, path_graph
+from cleangraphs.graph import Graph, IsoResult, complete_graph
+from cleangraphs.modring import UnitPartition
 from cleangraphs.verify import (
     TheoremReport,
     format_report,
@@ -25,6 +26,8 @@ from cleangraphs.verify import (
     verify_shu_connectivity,
     verify_shu_inheritance,
 )
+
+from graph_helpers import empty_graph, path_graph, relabel
 
 
 def test_degree_formula_passes():
@@ -287,9 +290,10 @@ def test_benchmark_tracer_attributes_every_numeric_theorem(monkeypatch):
 
 # -- planted defects: each verifier must report what it reads wrongly ----------
 #
-# The defect goes into the graph a verifier reads (through the module
-# attribute it calls), never into the verifier.  Graphs are rebuilt from
-# their label and edge lists, so these tests hold whatever the store.
+# The defect goes into what a verifier reads (a graph, a count, the unit
+# layout or the searcher's verdict, through the attribute it calls),
+# never into the verifier.  Graphs are rebuilt from their label and edge
+# lists, so these tests hold whatever the store.
 
 
 def without_edges(g: Graph, dropped) -> Graph:
@@ -300,10 +304,11 @@ def with_edge(g: Graph, added) -> Graph:
     return Graph(g.vertices, g.edges() + (added,))
 
 
-def plant(monkeypatch, name, defect):
-    """Rebind verify.<name> so that what it returns passes through defect."""
-    real = getattr(verify_module, name)
-    monkeypatch.setattr(verify_module, name, lambda *args: defect(real(*args)))
+def plant(monkeypatch, name, defect, owner=verify_module):
+    """Rebind owner.<name> (verify.<name> unless told otherwise) so that
+    what it returns passes through defect."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: defect(real(*args)))
 
 
 def test_degree_formula_fails_on_a_dropped_edge(monkeypatch):
@@ -362,6 +367,69 @@ def test_prime_power_fails_on_an_extra_edge(monkeypatch):
     assert set(r.evidence) == {"actual", "predicted"}
     assert r.evidence["predicted"] == "2 x (1v,0e) + 9 x (2v,1e)"
     assert r.evidence["actual"] == "10 x (2v,1e)"
+
+
+def test_prime_power_fails_on_a_component_that_is_neither_k1_nor_k2(monkeypatch):
+    # (1,1) is isolated and (1,2) sits in a K2 with (1,13), so the new edge
+    # makes a path on three vertices: counting components by (vertices,
+    # edges) is exact only because such a component fails
+    plant(monkeypatch, "cl2", lambda g: with_edge(g, ("(1,1)", "(1,2)")))
+    r = verify_prime_power(25)
+    assert r.status == "fail"
+    assert r.evidence == {
+        "actual": "1 x (1v,0e) + 8 x (2v,1e) + 1 x (3v,2e)",
+        "predicted": "2 x (1v,0e) + 9 x (2v,1e)",
+    }
+
+
+def test_corollary_fails_on_a_unit_count_one_too_many(monkeypatch):
+    plant(monkeypatch, "count_units", lambda m: m + 1, owner=verify_module._kernels)
+    r = verify_corollary(30)
+    assert r.status == "fail"
+    assert r.evidence == {"t_scan": 4, "t_formula": 4, "units_scan": 9, "units_formula": 8}
+    assert r.detail == "scan gives t=4, m=9; formulas give t=4, m=8"
+
+
+def test_pq_fails_on_two_swapped_units(monkeypatch):
+    # the first self-inverse unit and the first paired unit trade places
+    # in the layout that the witness indexes units through
+    real = UnitPartition.ordered_units
+
+    def swapped(part):
+        units = list(real(part))
+        units[0], units[part.t] = units[part.t], units[0]
+        return tuple(units)
+
+    monkeypatch.setattr(UnitPartition, "ordered_units", swapped)
+    r = verify_pq(15)
+    assert r.status == "fail"
+    assert r.detail == "constructed witness is not an isomorphism"
+    assert r.evidence == {"t": 4, "k": 8, "vertices": 24}
+
+
+def test_shu_inheritance_fails_when_the_searcher_denies_the_shu_pair(monkeypatch):
+    real = verify_module.find_isomorphism
+
+    def wrong_on_shu(g, h):
+        res = real(g, h)
+        if g.has_vertex("z@1"):  # the hub of copy 1: a Shu graph
+            return IsoResult("not_isomorphic", None, res.nodes_expanded)
+        return res
+
+    monkeypatch.setattr(verify_module, "find_isomorphism", wrong_on_shu)
+    p3 = path_graph(3)
+    r = verify_shu_inheritance(p3, relabel(p3, {"v1": "c", "v2": "a", "v3": "b"}), 2, 4)
+    assert r.status == "fail"
+    assert r.detail == "inputs isomorphic, results not_isomorphic"
+    assert (r.evidence["inputs"], r.evidence["results"]) == ("isomorphic", "not_isomorphic")
+
+
+def test_bridge_fails_on_a_dropped_shu_edge(monkeypatch):
+    plant(monkeypatch, "build_shu", lambda shu: without_edges(shu, {shu.edges()[0]}))
+    r = verify_sh_shu_bridge(2, 6)
+    assert r.status == "fail"
+    assert r.detail == "constructed witness is not an isomorphism"
+    assert r.evidence == {"vertices": 18}
 
 
 def test_shu_connectivity_fails_without_the_joins(monkeypatch):
