@@ -201,17 +201,28 @@ class Graph:
             part |= frontier
         return part
 
-    def connected_components(self) -> list["Graph"]:
-        """Induced component subgraphs, largest first, ties by vertex labels."""
+    def _components(self) -> Iterator[int]:
+        """Each connected component as a row, in the order of its lowest vertex."""
         unseen = (1 << len(self.labels)) - 1
-        comps: list[Graph] = []
         while unseen:
             # the component of the lowest vertex not yet in one
             part = self._component((unseen & -unseen).bit_length() - 1)
             unseen ^= part
-            comps.append(self._subgraph(part))
+            yield part
+
+    def connected_components(self) -> list["Graph"]:
+        """Induced component subgraphs, largest first, ties by vertex labels."""
+        comps = list(map(self._subgraph, self._components()))
         comps.sort(key=lambda c: (-c.num_vertices, c.vertices))
         return comps
+
+    def component_shapes(self) -> list[tuple[int, int]]:
+        """(vertices, edges) of each connected component, in the order of
+        its lowest vertex, without building the components: every
+        neighbour of a vertex lies in its component, so a component's
+        edges are half the sum of its vertices' degrees."""
+        degrees = self.degrees()
+        return [(part.bit_count(), sum(_select(part, degrees)) // 2) for part in self._components()]
 
     def is_connected(self) -> bool:
         return not self.labels or self._component(0) == (1 << len(self.labels)) - 1
@@ -257,9 +268,12 @@ def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) 
 
     The label mapping becomes one permutation of vertex indices; a
     bijection is an isomorphism when it carries every vertex's
-    neighbour set exactly onto the neighbour set of its image.  Each
-    row's neighbours are mapped, built into one row of h and compared
-    with the row of the image vertex.
+    neighbour set exactly onto the neighbour set of its image.  The rows
+    of g are walked in index order, each one's image built as a row of h
+    and compared with the row of the image vertex.  A permutation of
+    bits is linear over XOR, so when a row differs from the previous one
+    in fewer bits than it has, only that difference is mapped and XOR-ed
+    into the previous image; otherwise the whole row is mapped.
     """
     if isinstance(mapping, IsoWitness):
         mapping = mapping.as_dict()
@@ -274,10 +288,17 @@ def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) 
         perm[i] = j
     if len(set(perm)) != k:
         return False
-    return all(
-        _row_of(_select(row, perm), k) == target
-        for row, target in zip(g.adj, map(h.adj.__getitem__, perm))
-    )
+    prev = image = 0  # the last row checked and its image
+    for row, target in zip(g.adj, map(h.adj.__getitem__, perm)):
+        diff = row ^ prev
+        if diff.bit_count() < row.bit_count():
+            image ^= _row_of(_select(diff, perm), k)
+        else:
+            image = _row_of(_select(row, perm), k)
+        if image != target:
+            return False
+        prev = row
+    return True
 
 
 def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:

@@ -132,12 +132,18 @@ class ModRing:
 
     @_computed_once
     def units(self) -> tuple[int, ...]:
-        """All u coprime to n, ascending, enumerated coordinate-wise."""
-        coords: list[tuple[int, ...]] = [()]
-        for (p, _), q in zip(self.factorization, self.prime_power_moduli):
-            local = [r for r in range(q) if r % p != 0]
-            coords = [c + (r,) for c in coords for r in local]
-        return tuple(sorted(self.crt_compose(c) for c in coords))
+        """All u coprime to n, ascending, enumerated coordinate-wise.
+
+        A unit is the sum of its residues times the CRT basis, mod n; the
+        residues are in range by construction, so the sums are taken
+        directly rather than checked through crt_compose.
+        """
+        sums = [0]
+        for (p, _), q, b in zip(self.factorization, self.prime_power_moduli, self._crt_basis):
+            local = [r * b for r in range(q) if r % p != 0]
+            sums = [s + r for s in sums for r in local]
+        n = self.modulus
+        return tuple(sorted(s % n for s in sums))
 
     def unit_count(self) -> int:
         """Euler phi from the factorization."""

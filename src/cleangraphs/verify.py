@@ -185,7 +185,7 @@ def verify_prime_power(n: ModRing | int) -> _Outcome:
     else:
         isolated, edges = 2, (q - q // p) // 2 - 1
     predicted = +Counter({(1, 0): isolated, (2, 1): edges})  # "+" drops a zero count
-    actual = Counter((c.num_vertices, c.num_edges) for c in cl2(ring).connected_components())
+    actual = Counter(cl2(ring).component_shapes())
     got = _describe(actual)
     if actual == predicted:
         return instance, "pass", f"components are {got}", {"components": got}
@@ -381,7 +381,7 @@ def verify_shu_connectivity(g: Graph, t: int, n: int) -> _Outcome:
         return instance, "rejected", "hypotheses need n >= t >= 2 with n - t even", {}
     shu = build_shu(g, t, n)
     null = is_null(g)
-    components = len(shu.connected_components())
+    components = len(shu.component_shapes())
     evidence = {"components": components, "input_null": null}
     if (components > 1) == null:
         detail = f"{components} component(s), input {'null' if null else 'has an edge'}"

@@ -451,13 +451,21 @@ def test_verify_all_range_matches_golden(capsys):
     assert out.encode() == _golden_bytes("verify_all_2_40.txt")
 
 
-def test_verify_general_2310_golden_agrees_with_the_degree_law():
-    # CI diffs `verify general 2310 --json --stable` against this file; its
-    # vertex and edge counts are held here to the closed-form degrees, which
-    # read the ring alone, so the pin is checked by more than the code that
-    # wrote it
-    (report,) = json.loads(_golden_bytes("verify_general_2310.json"))
-    assert (report["instance"], report["status"]) == ("n=2310", "pass")
-    degrees = [predicted for predicted, _ in closed_form_degrees(2310)]
-    assert report["evidence"]["vertices"] == len(degrees) == 14880
+def general_golden_agrees_with_the_degree_law(n, vertices):
+    # CI diffs `verify general N --json --stable` against the golden file;
+    # its vertex and edge counts are held here to the closed-form degrees,
+    # which read the ring alone, so the pin is checked by more than the code
+    # that wrote it
+    (report,) = json.loads(_golden_bytes(f"verify_general_{n}.json"))
+    assert (report["instance"], report["status"]) == (f"n={n}", "pass")
+    degrees = [predicted for predicted, _ in closed_form_degrees(n)]
+    assert report["evidence"]["vertices"] == len(degrees) == vertices
     assert 2 * report["evidence"]["edges"] == sum(degrees)
+
+
+def test_verify_general_2310_golden_agrees_with_the_degree_law():
+    general_golden_agrees_with_the_degree_law(2310, 14880)
+
+
+def test_verify_general_3570_golden_agrees_with_the_degree_law():
+    general_golden_agrees_with_the_degree_law(3570, 23808)

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cleangraphs import graph as graph_module, verify as verify_module
 from cleangraphs.cleangraph import cl2, idempotent_graph
 from cleangraphs.graph import (
     EXPORT_FORMATS,
@@ -25,6 +26,7 @@ from cleangraphs.graph import (
 )
 from cleangraphs.modring import factorize
 from cleangraphs.shuriken import build_shu
+from cleangraphs.verify import verify_general
 
 from graph_helpers import disjoint_union, empty_graph, graph_types, path_graph, relabel
 
@@ -136,6 +138,7 @@ def test_components_partition_vertices(g):
     seen = [v for c in comps for v in c.vertices]
     assert sorted(seen) == sorted(g.vertices)
     assert sum(c.num_edges for c in comps) == g.num_edges
+    assert sorted(g.component_shapes()) == sorted((c.num_vertices, c.num_edges) for c in comps)
 
 
 # -- isomorphism -----------------------------------------------------------------
@@ -284,6 +287,134 @@ def test_witness_round_trip():
     w = IsoWitness.from_dict({"b": "y", "a": "x"})
     assert w.pairs == (("a", "x"), ("b", "y"))
     assert w.as_dict() == {"a": "x", "b": "y"}
+
+
+# -- the witness check against its literal form --------------------------------------
+#
+# verify_mapping as it was before it mapped rows by their difference with
+# the previous row, kept verbatim so that the fast version can be held to it.
+
+
+def literal_verify_mapping(g: Graph, h: Graph, mapping) -> bool:
+    if isinstance(mapping, IsoWitness):
+        mapping = mapping.as_dict()
+    k = g.num_vertices
+    if len(mapping) != k or h.num_vertices != k or g.num_edges != h.num_edges:
+        return False
+    perm = [0] * k
+    for a, b in mapping.items():
+        i, j = g.index.get(a), h.index.get(b)
+        if i is None or j is None:
+            return False
+        perm[i] = j
+    if len(set(perm)) != k:
+        return False
+    return all(
+        _row_of(_select(row, perm), k) == target
+        for row, target in zip(g.adj, map(h.adj.__getitem__, perm))
+    )
+
+
+@st.composite
+def relabellings(draw):
+    """A graph, a relabelled copy stored in another vertex order, the
+    relabelling, two of the graph's vertices and two pairs of copy labels.
+    The graphs run from sparse to dense, so that rows are mapped both
+    whole and by their difference with the previous row."""
+    k = draw(st.integers(min_value=2, max_value=40))
+    share = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    labels = [f"v{i}" for i in range(k)]
+    g = Graph(labels, [e for e in combinations(labels, 2) if rng.random() < share])
+    names = [f"w{i}" for i in range(k)]
+    rng.shuffle(names)
+    mapping = dict(zip(labels, names))
+    copy = relabel(g, mapping)
+    h = Graph(rng.sample(names, k), copy.edges())
+    a, b = rng.sample(labels, 2)
+    return g, h, mapping, (a, b), rng.sample(names, 2), rng.sample(names, 2)
+
+
+def toggled(h: Graph, *pairs) -> Graph:
+    """h with each of the label pairs turned from an edge into a non-edge
+    or back."""
+    edges = set(h.edges())
+    for pair in pairs:
+        edges ^= {tuple(sorted(pair))}
+    return Graph(h.vertices, edges)
+
+
+@given(relabellings())
+@settings(max_examples=300, deadline=None)
+def test_verify_mapping_agrees_with_its_literal_form(case):
+    g, h, mapping, (a, b), one, other = case
+    swapped = {**mapping, a: mapping[b], b: mapping[a]}
+    clash = {**mapping, a: mapping[b]}  # two vertices onto one, one target missed
+    # one edge toggled changes the edge count, two may keep it
+    checks = [
+        (h, mapping),
+        (h, swapped),
+        (toggled(h, one), mapping),
+        (toggled(h, one, other), mapping),
+        (h, clash),
+    ]
+    for target, m in checks:
+        assert verify_mapping(g, target, m) == literal_verify_mapping(g, target, m)
+    assert verify_mapping(g, h, mapping)
+    assert not verify_mapping(g, toggled(h, one), mapping)
+    assert not verify_mapping(g, h, clash)
+
+
+def general_witness(n: int, monkeypatch) -> tuple[Graph, Graph, dict[str, str]]:
+    """cl2(n), the Shu graph and the witness that verify_general checks."""
+    seen = []
+    monkeypatch.setattr(verify_module, "verify_mapping", lambda *args: seen.append(args))
+    verify_general(n)
+    monkeypatch.undo()
+    ((g, h, mapping),) = seen
+    return g, h, mapping
+
+
+@pytest.mark.parametrize("n", [30, 60, 210, 380])
+def test_verify_mapping_on_general_witnesses(n, monkeypatch):
+    g, h, mapping = general_witness(n, monkeypatch)
+    assert verify_mapping(g, h, mapping)
+    assert literal_verify_mapping(g, h, mapping)
+    # unless a and b are twins, swapping their targets spoils the rows of
+    # a, b and of every vertex adjacent to one of them only, so the first
+    # spoiled row is the lowest bit of spoiled(a, b); among the first
+    # vertices of the idempotent blocks, take the pair that spoils nothing
+    # before the latest row
+    width = len(factorize(n).units())
+    starts = range(0, g.num_vertices, width)
+
+    def spoiled(a, b):
+        return g.adj[a] ^ g.adj[b] | 1 << a | 1 << b
+
+    def first(row):
+        return (row & -row).bit_length() - 1
+
+    a, b = max(combinations(starts, 2), key=lambda ab: first(spoiled(*ab)))
+    assert first(spoiled(a, b)) >= g.num_vertices // 4
+    la, lb = g.labels[a], g.labels[b]
+    swapped = {**mapping, la: mapping[lb], lb: mapping[la]}
+    assert not verify_mapping(g, h, swapped)
+    assert not literal_verify_mapping(g, h, swapped)
+
+
+def test_verify_mapping_maps_row_differences(monkeypatch):
+    # consecutive rows of cl2(380) mostly differ in one column, so the
+    # check maps a small share of the bits it would map row by row
+    g, h, mapping = general_witness(380, monkeypatch)
+    mapped = []
+
+    def counting(row, values):
+        mapped.append(row.bit_count())
+        return _select(row, values)
+
+    monkeypatch.setattr(graph_module, "_select", counting)
+    assert verify_mapping(g, h, mapping)
+    assert sum(mapped) * 10 < 2 * g.num_edges
 
 
 # -- serialization ----------------------------------------------------------------

@@ -1,14 +1,20 @@
 """The searcher, the graph reads and the component split against
 networkx as an independent reference (VF2++: Juttner & Madarasi,
-Discrete Applied Mathematics, 2018).  Test-only: skipped where networkx
-is missing."""
+Discrete Applied Mathematics, 2018), and the paper's statements checked
+by networkx on objects built from their definitions in networkx alone.
+Test-only: skipped where networkx is missing."""
 
+import functools
+from collections import Counter
 from itertools import combinations
+from math import gcd, log
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cleangraphs.cleangraph import closed_form_degrees
 from cleangraphs.graph import Graph, _joint_refinement, find_isomorphism, verify_mapping
+from cleangraphs.verify import verify_prime_power, verify_shu_connectivity
 
 from graph_helpers import disjoint_union, relabel
 
@@ -178,3 +184,154 @@ def test_cfi_graph_is_isomorphic_to_a_relabelled_copy():
     assert res.status == "isomorphic"
     assert verify_mapping(g, copy, res.witness)
 
+
+
+# -- the paper's objects from their written definitions ------------------------------
+#
+# Each object is built in networkx alone, straight from its definition,
+# with the ring found by brute force, and each statement is decided by
+# networkx.  The package is read only for what it claims: the closed-form
+# degrees and what its verifiers report.
+#
+# Isomorphism is decided by VF2 (nx.is_isomorphic), not VF2++: VF2++
+# orders its search by breadth-first layers, so it maps the complete
+# bipartite core of Sh (and of Shu) before the vertices that tie its two
+# sides together, and it ran past 2 s on 34 of the 90 pairs below.  VF2
+# takes its next target in the order the vertices are stored, so Sh is
+# stored index by index: a_i, b_i and c_i together.
+
+SMALL_MODULI = range(2, 61)
+
+
+def distinct_primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@functools.lru_cache(maxsize=None)
+def ring_data(n):
+    """The nonzero idempotents, the units and the self-inverse units of
+    Z_n, ascending, by scanning every element."""
+    idempotents = [e for e in range(1, n) if e * e % n == e]
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    return idempotents, units, [u for u in units if u * u % n == 1]
+
+
+@functools.lru_cache(maxsize=None)
+def literal_cl2(n):
+    """Vertices (e, u) with e a nonzero idempotent and u a unit; distinct
+    vertices (e, u) and (f, v) are adjacent when ef = 0 or uv = 1."""
+    idempotents, units, _ = ring_data(n)
+    pairs = [(e, u) for e in idempotents for u in units]
+    g = nx.Graph()
+    g.add_nodes_from(pairs)
+    g.add_edges_from(
+        (x, y) for x, y in combinations(pairs, 2) if x[0] * y[0] % n == 0 or x[1] * y[1] % n == 1
+    )
+    return g
+
+
+def literal_idempotent_graph(n):
+    """I(Z_n): the idempotents other than 0 and 1, adjacent when ef = 0."""
+    nontrivial = [e for e in ring_data(n)[0] if e != 1]
+    g = nx.Graph()
+    g.add_nodes_from(nontrivial)
+    g.add_edges_from((e, f) for e, f in combinations(nontrivial, 2) if e * f % n == 0)
+    return g
+
+
+def mirror(i, t, n):
+    """Index i mirrors to n + t + 1 - i above t and to itself up to t."""
+    return i if i <= t else n + t + 1 - i
+
+
+def literal_sh(t, n):
+    """Sh(t, n) on a_i, b_i, c_i for 1 <= i <= n: every a_i b_j; a_i and
+    b_i to c at the mirror of i; and a_i a_j, b_i b_j, c_i c_j for each
+    mirrored pair i != j.  The vertices are stored index by index."""
+    g = nx.Graph()
+    g.add_nodes_from((r, i) for i in range(1, n + 1) for r in "abc")
+    g.add_edges_from((("a", i), ("b", j)) for i in range(1, n + 1) for j in range(1, n + 1))
+    for i in range(1, n + 1):
+        m = mirror(i, t, n)
+        g.add_edges_from([(("a", i), ("c", m)), (("b", i), ("c", m))])
+        if m != i:
+            g.add_edges_from(((r, i), (r, m)) for r in "abc")
+    return g
+
+
+def literal_shu(base, t, n):
+    """Shu(base, t, n): n copies of base, each with its own hub z; an edge
+    uv of base joins u in any copy to v in any copy, the same copy
+    included; copies 1..t are cliques, hub included; copies i and
+    n + t + 1 - i are joined completely for i > t."""
+    full = [*base.nodes, "z"]
+    copies = range(1, n + 1)
+    g = nx.Graph()
+    g.add_nodes_from((v, i) for i in copies for v in full)
+    g.add_edges_from(((u, i), (v, j)) for u, v in base.edges for i in copies for j in copies)
+    for i in copies:
+        m = mirror(i, t, n)
+        if m == i:
+            g.add_edges_from(combinations([(v, i) for v in full], 2))
+        elif i < m:
+            g.add_edges_from(((x, i), (y, m)) for x in full for y in full)
+    return g
+
+
+@pytest.mark.parametrize("n", SMALL_MODULI)
+def test_literal_cl2_degrees_match_the_closed_form(n):
+    idempotents, units, _ = ring_data(n)
+    g = literal_cl2(n)
+    assert [g.degree((e, u)) for e in idempotents for u in units] == [
+        d for d, _ in closed_form_degrees(n)
+    ]
+
+
+@pytest.mark.parametrize("n", SMALL_MODULI)
+def test_literal_cl2_is_shu_of_the_idempotent_graph(n):
+    _, units, self_inverse = ring_data(n)
+    shu = literal_shu(literal_idempotent_graph(n), len(self_inverse), len(units))
+    assert nx.is_isomorphic(literal_cl2(n), shu)
+
+
+@pytest.mark.parametrize("n", [n for n in SMALL_MODULI if len(distinct_primes(n)) == 2])
+def test_literal_cl2_of_two_primes_is_sh(n):
+    _, units, self_inverse = ring_data(n)
+    assert nx.is_isomorphic(literal_cl2(n), literal_sh(len(self_inverse), len(units)))
+
+
+@pytest.mark.parametrize("n", [n for n in SMALL_MODULI if len(distinct_primes(n)) == 1])
+def test_literal_cl2_of_a_prime_power_is_vertices_and_edges(n):
+    # the statement: 1 isolated vertex for 2, 2 for 4; 4 isolated vertices
+    # and 2^(m-1) - 2^(m-2) - 2 edges for 2^m with m >= 3; 2 isolated
+    # vertices and (q - q/p)/2 - 1 edges for an odd prime power q
+    ((p,),) = [distinct_primes(n)]
+    m = round(log(n, p))
+    if n in (2, 4):
+        isolated, edges = n // 2, 0
+    elif p == 2:
+        isolated, edges = 4, 2 ** (m - 1) - 2 ** (m - 2) - 2
+    else:
+        isolated, edges = 2, (n - n // p) // 2 - 1
+    g = literal_cl2(n)
+    shapes = Counter((len(c), g.subgraph(c).number_of_edges()) for c in nx.connected_components(g))
+    assert shapes == +Counter({(1, 0): isolated, (2, 1): edges})
+    want = " + ".join(f"{k} x ({v}v,{e}e)" for (v, e), k in sorted(shapes.items()))
+    assert verify_prime_power(n).evidence["components"] == want
+
+
+@pytest.mark.parametrize("n", SMALL_MODULI[1:])  # Z_2 has t = 1, outside the statement
+def test_literal_shu_is_disconnected_exactly_on_a_null_input(n):
+    # the idempotent graph, and the same vertices without their edges
+    _, units, self_inverse = ring_data(n)
+    t, k = len(self_inverse), len(units)
+    full = literal_idempotent_graph(n)
+    null = nx.Graph()
+    null.add_nodes_from(full.nodes)
+    for base in (full, null):
+        shu = literal_shu(base, t, k)
+        assert nx.is_connected(shu) == (base.number_of_edges() > 0)
+        ours = Graph(map(str, base.nodes), [(str(u), str(v)) for u, v in base.edges])
+        report = verify_shu_connectivity(ours, t, k)
+        assert report.ok
+        assert report.evidence["components"] == nx.number_connected_components(shu)
