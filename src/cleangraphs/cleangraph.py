@@ -34,12 +34,9 @@ def idempotent_graph(r: ModRing | int) -> Graph:
     ring = _ring(r)
     n = ring.modulus
     verts = ring.nontrivial_idempotents()
-    g = Graph(str(e) for e in verts)
-    for i, e in enumerate(verts):
-        for j, f in enumerate(verts[i + 1 :], start=i + 1):
-            if e * f % n == 0:
-                g.link(i, j)
-    return g
+    # e*e = e is not 0, so no row holds its own vertex
+    rows = [sum(1 << j for j, f in enumerate(verts) if e * f % n == 0) for e in verts]
+    return Graph.from_rows(map(str, verts), rows)
 
 
 def cl2_pairs(r: ModRing | int) -> list[tuple[int, int]]:

@@ -16,8 +16,7 @@ import re
 import sys
 
 from . import verify as verify_mod
-from ._kernels import backend
-from .cleangraph import cl1, cl2, cl2_pairs, clean_graph, closed_form_degrees, idempotent_graph
+from .cleangraph import cl1, cl2, clean_graph, idempotent_graph
 from .graph import EXPORT_FORMATS, export, parse_edgelist
 from .modring import factorize
 from .shuriken import build_sh, build_shu
@@ -126,9 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--input2", help="second edge-list file (inheritance)")
     p_verify.set_defaults(run=_cmd_verify)
 
-    p_back = sub.add_parser("backend", help="print the name of the arithmetic kernels")
-    p_back.set_defaults(run=_cmd_backend)
-
     return parser
 
 
@@ -165,12 +161,9 @@ def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_degrees(args, parser: argparse.ArgumentParser) -> int:
-    ring = factorize(args.n)
-    g = cl2(ring)
+    table = verify_mod.degree_table(args.n)
     print(f"cl2(Z_{args.n}): vertex (e,u), actual degree, both formulas")
-    for (e, u), actual, (corrected, legacy) in zip(
-        cl2_pairs(ring), g.degrees(), closed_form_degrees(ring)
-    ):
+    for (e, u), actual, corrected, legacy in table:
         flag = " MISMATCH" if legacy != actual else ""
         if corrected != actual:
             flag += " CORRECTED-MISMATCH"
@@ -230,11 +223,6 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         if not reports:
             print("no applicable instances in range", file=sys.stderr)
     return _exit_code(reports)
-
-
-def _cmd_backend(args, parser: argparse.ArgumentParser) -> int:
-    print(backend())
-    return 0
 
 
 def main(argv=None) -> int:

@@ -169,10 +169,6 @@ class Graph:
         """Every vertex's degree, in index order."""
         return list(map(int.bit_count, self.adj))
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees in non-increasing order."""
-        return tuple(sorted(self.degrees(), reverse=True))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -306,15 +302,16 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
 
     Returns stable colorings (by vertex index) sharing one palette, or
     None as soon as the color histograms split (which certifies
-    non-isomorphism).
+    non-isomorphism).  The degree histograms are compared before any
+    neighbour list is built.
     """
     cg, ch = g.degrees(), h.degrees()
+    if Counter(cg) != Counter(ch):
+        return None
     everyone = range(len(cg))
     g_nbrs = [_select(row, everyone) for row in g.adj]
     h_nbrs = [_select(row, everyone) for row in h.adj]
     while True:
-        if Counter(cg) != Counter(ch):
-            return None
         palette: dict[tuple, int] = {}
 
         def recolor(nbrs: list[list[int]], colors: list[int]) -> list[int]:
@@ -326,9 +323,9 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
         ng, nh = recolor(g_nbrs, cg), recolor(h_nbrs, ch)
         stable = len(set(ng)) == len(set(cg))
         cg, ch = ng, nh
+        if Counter(cg) != Counter(ch):
+            return None
         if stable:
-            if Counter(cg) != Counter(ch):
-                return None
             return cg, ch
 
 
@@ -364,24 +361,20 @@ def find_isomorphism(
 ) -> IsoResult:
     """Decide whether g and h are isomorphic, within a node budget.
 
-    Pipeline: cheap invariants, then joint color refinement, then
-    color-respecting backtracking.  Exhausting the search space proves
-    non-isomorphism; exceeding ``budget`` node expansions yields
-    ``inconclusive`` instead of a wrong verdict.  Ties in the search
-    order and among candidates are broken by label, so the result does
-    not depend on the order the vertices were added in.  A witness is
-    returned only once verify_mapping accepts it; RuntimeError otherwise.
+    Pipeline: joint color refinement, whose first step compares the
+    degree histograms, then color-respecting backtracking.  Exhausting
+    the search space proves non-isomorphism; exceeding ``budget`` node
+    expansions yields ``inconclusive`` instead of a wrong verdict.  Ties
+    in the search order and among candidates are broken by label, so the
+    result does not depend on the order the vertices were added in.  A
+    witness is returned only once verify_mapping accepts it;
+    RuntimeError otherwise.
     """
-    if g.num_vertices != h.num_vertices or g.num_edges != h.num_edges:
-        return IsoResult("not_isomorphic", None, 0)
-    if g.degree_sequence() != h.degree_sequence():
-        return IsoResult("not_isomorphic", None, 0)
-    if g.num_vertices == 0:
-        return IsoResult("isomorphic", IsoWitness(()), 0)
-
     refined = _joint_refinement(g, h)
     if refined is None:
         return IsoResult("not_isomorphic", None, 0)
+    if g.num_vertices == 0:
+        return IsoResult("isomorphic", IsoWitness(()), 0)
     cg, ch = refined
 
     order = _search_order(g, cg)

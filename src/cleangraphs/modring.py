@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce, wraps
 from math import gcd
+from typing import Iterable
 
 
 def is_prime(p: int) -> bool:
@@ -87,27 +88,19 @@ class ModRing:
         self._check_element(a)
         return gcd(a, self.modulus) == 1
 
-    # -- CRT ----------------------------------------------------------------
-
-    def crt_compose(self, residues: tuple[int, ...]) -> int:
-        """The element of Z_n with the given residues modulo each prime
-        power, in factor order."""
-        if len(residues) != len(self.prime_power_moduli):
-            raise ValueError("wrong number of residues")
-        for r, q in zip(residues, self.prime_power_moduli):
-            if not 0 <= r < q:
-                raise ValueError(f"residue {r} out of range for modulus {q}")
-        return sum(r * b for r, b in zip(residues, self._crt_basis)) % self.modulus
-
-    def support(self, e: int) -> int:
-        """Bitmask of coordinates where the idempotent e is 1 (mod p_i^n_i)."""
-        mask = 0
-        for i, q in enumerate(self.prime_power_moduli):
-            if e % q == 1:
-                mask |= 1 << i
-        return mask
-
     # -- enumeration ----------------------------------------------------------
+
+    def _compose_all(self, residue_sets: Iterable[Iterable[int]]) -> tuple[int, ...]:
+        """Every element of Z_n whose residue modulo each prime power is
+        taken from the matching set in ``residue_sets`` (factor order),
+        ascending: the sum over coordinates of residue times the CRT
+        basis element, mod n."""
+        sums = [0]
+        for residues, b in zip(residue_sets, self._crt_basis):
+            local = [r * b for r in residues]
+            sums = [s + x for s in sums for x in local]
+        n = self.modulus
+        return tuple(sorted(s % n for s in sums))
 
     @_computed_once
     def idempotents(self) -> tuple[int, ...]:
@@ -116,13 +109,7 @@ class ModRing:
         Built through the CRT: an idempotent is 0 or 1 in every
         coordinate, so there are exactly 2**k of them.
         """
-        values = []
-        for mask in range(1 << self.num_primes):
-            residues = tuple(
-                1 if mask >> i & 1 else 0 for i in range(self.num_primes)
-            )
-            values.append(self.crt_compose(residues))
-        return tuple(sorted(values))
+        return self._compose_all([[0, 1]] * self.num_primes)
 
     def nonzero_idempotents(self) -> tuple[int, ...]:
         return tuple(e for e in self.idempotents() if e != 0)
@@ -132,18 +119,12 @@ class ModRing:
 
     @_computed_once
     def units(self) -> tuple[int, ...]:
-        """All u coprime to n, ascending, enumerated coordinate-wise.
-
-        A unit is the sum of its residues times the CRT basis, mod n; the
-        residues are in range by construction, so the sums are taken
-        directly rather than checked through crt_compose.
-        """
-        sums = [0]
-        for (p, _), q, b in zip(self.factorization, self.prime_power_moduli, self._crt_basis):
-            local = [r * b for r in range(q) if r % p != 0]
-            sums = [s + r for s in sums for r in local]
-        n = self.modulus
-        return tuple(sorted(s % n for s in sums))
+        """All u coprime to n, ascending: in every coordinate a residue
+        prime to p."""
+        return self._compose_all(
+            [r for r in range(q) if r % p != 0]
+            for (p, _), q in zip(self.factorization, self.prime_power_moduli)
+        )
 
     def unit_count(self) -> int:
         """Euler phi from the factorization."""
@@ -161,8 +142,7 @@ class ModRing:
         """
         if not self.is_idempotent(e):
             raise ValueError(f"{e} is not idempotent mod {self.modulus}")
-        mask = self.support(e)
-        zero_coords = self.num_primes - bin(mask).count("1")
+        zero_coords = sum(e % q == 0 for q in self.prime_power_moduli)
         return (1 << zero_coords) - 1
 
     @_computed_once
@@ -180,7 +160,6 @@ class UnitPartition:
     this layout.
     """
 
-    modulus: int
     self_inverse: tuple[int, ...]
     paired: tuple[int, ...]
 
@@ -276,4 +255,4 @@ def unit_partition(ring: ModRing) -> UnitPartition:
         front.append(u)
         back.append(v)
     paired = tuple(front) + tuple(reversed(back))
-    return UnitPartition(n, self_inverse, paired)
+    return UnitPartition(self_inverse, paired)

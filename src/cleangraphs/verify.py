@@ -95,15 +95,22 @@ def _timed(theorem_id: str):
 # -- degree formula -----------------------------------------------------------
 
 
+def degree_table(n: ModRing | int) -> list[tuple[tuple[int, int], int, int, int]]:
+    """((e, u), actual, corrected, legacy) for every vertex of cl2(Z_n),
+    in stored order: its degree in the built graph, then the degrees the
+    closed form and its superseded version predict."""
+    ring = _ring(n)
+    rows = zip(cl2_pairs(ring), cl2(ring).degrees(), closed_form_degrees(ring))
+    return [(pair, actual, *forms) for pair, actual, forms in rows]
+
+
 @_timed("degree_formula")
 def verify_degree_formula(n: ModRing | int) -> _Outcome:
     """Compare every vertex degree of cl2(Z_n) against the closed form."""
     ring = _ring(n)
     instance = f"n={ring.modulus}"
-    g = cl2(ring)
-    for (e, u), actual, (predicted, _) in zip(
-        cl2_pairs(ring), g.degrees(), closed_form_degrees(ring)
-    ):
+    table = degree_table(ring)
+    for (e, u), actual, predicted, _ in table:
         if actual != predicted:
             return (
                 instance,
@@ -114,8 +121,8 @@ def verify_degree_formula(n: ModRing | int) -> _Outcome:
     return (
         instance,
         "pass",
-        f"all {g.num_vertices} vertex degrees match the closed form",
-        {"vertices_checked": g.num_vertices},
+        f"all {len(table)} vertex degrees match the closed form",
+        {"vertices_checked": len(table)},
     )
 
 
@@ -125,12 +132,9 @@ def report_counterexample(n: ModRing | int) -> _Outcome:
     with the actual degree; the corrected form must still match."""
     ring = _ring(n)
     instance = f"n={ring.modulus}"
-    g = cl2(ring)
     mismatches = []
     corrected_bad = None
-    for (e, u), actual, (corrected, legacy) in zip(
-        cl2_pairs(ring), g.degrees(), closed_form_degrees(ring)
-    ):
+    for (e, u), actual, corrected, legacy in degree_table(ring):
         if legacy != actual:
             mismatches.append(
                 {"vertex": [e, u], "actual": actual, "corrected": corrected, "legacy": legacy}
@@ -196,34 +200,6 @@ def verify_prime_power(n: ModRing | int) -> _Outcome:
 # -- two prime factors ------------------------------------------------------------
 
 
-def _cross_check(g: Graph, h: Graph) -> tuple[Status, str, dict]:
-    """Independent searcher pass for graphs under the size gate.
-
-    Returns (status, note, evidence-fragment); status is "pass" when the
-    searcher either confirms the isomorphism or the gate skips it.
-    """
-    if g.num_vertices > SEARCH_GATE:
-        return "pass", "searcher skipped (size gate)", {"searcher": "skipped"}
-    res = find_isomorphism(g, h)
-    if res.status == "isomorphic":
-        return (
-            "pass",
-            f"searcher concurs ({res.nodes_expanded} nodes)",
-            {"searcher": "isomorphic", "searcher_nodes": res.nodes_expanded},
-        )
-    if res.status == "inconclusive":
-        return (
-            "inconclusive",
-            f"searcher budget exhausted ({res.nodes_expanded} nodes)",
-            {"searcher": "inconclusive", "searcher_nodes": res.nodes_expanded},
-        )
-    return (
-        "fail",
-        "searcher contradicts the verified witness",
-        {"searcher": "not_isomorphic", "searcher_nodes": res.nodes_expanded},
-    )
-
-
 def _witness_outcome(
     instance: str,
     left: Graph,
@@ -233,19 +209,30 @@ def _witness_outcome(
     onto: str,
     pass_evidence: dict | None = None,
 ) -> _Outcome:
-    """Check the proof's witness mapping from left onto right, then
-    cross-check with the searcher.
+    """Check the proof's witness mapping from left onto right, then, for
+    graphs under the size gate, cross-check with the searcher.
 
     ``evidence`` goes with every outcome, ``pass_evidence`` only with one
-    whose witness holds; ``onto`` names right in a passing detail.
+    whose witness holds; ``onto`` names right in a passing detail.  A
+    verified witness passes unless the searcher runs and fails to concur.
     """
     if not verify_mapping(left, right, mapping):
         return instance, "fail", "constructed witness is not an isomorphism", evidence
-    status, note, extra = _cross_check(left, right)
-    detail = f"witness onto {onto} verified; {note}"
-    if status != "pass":
-        detail = f"witness verified but {note}"
-    return instance, status, detail, {**evidence, **(pass_evidence or {}), **extra}
+    evidence = {**evidence, **(pass_evidence or {})}
+    verified = f"witness onto {onto} verified"
+    if left.num_vertices > SEARCH_GATE:
+        evidence["searcher"] = "skipped"
+        return instance, "pass", f"{verified}; searcher skipped (size gate)", evidence
+    res = find_isomorphism(left, right)
+    nodes = res.nodes_expanded
+    evidence.update(searcher=res.status, searcher_nodes=nodes)
+    if res.status == "isomorphic":
+        return instance, "pass", f"{verified}; searcher concurs ({nodes} nodes)", evidence
+    if res.status == "inconclusive":
+        detail = f"witness verified but searcher budget exhausted ({nodes} nodes)"
+        return instance, "inconclusive", detail, evidence
+    detail = "witness verified but searcher contradicts the verified witness"
+    return instance, "fail", detail, evidence
 
 
 @_timed("two_prime_isomorphism")

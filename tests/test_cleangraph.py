@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cleangraphs.cleangraph import (
+    _ring,
     cl1,
     cl2,
     cl2_pairs,
@@ -42,6 +43,20 @@ def literal_pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
     return g
 
 
+def literal_idempotent_graph(r: ModRing | int) -> Graph:
+    """Reference builder: e*f = 0 tested on every pair of nontrivial
+    idempotents, linked one edge at a time."""
+    ring = _ring(r)
+    n = ring.modulus
+    verts = ring.nontrivial_idempotents()
+    g = Graph(str(e) for e in verts)
+    for i, e in enumerate(verts):
+        for j, f in enumerate(verts[i + 1 :], start=i + 1):
+            if e * f % n == 0:
+                g.link(i, j)
+    return g
+
+
 def assert_same_store(g: Graph, want: Graph) -> None:
     assert g.labels == want.labels
     assert g.index == want.index
@@ -59,6 +74,12 @@ def test_clean_graph_and_cl1_match_literal_pair_scan(n):
     ring = factorize(n)
     assert_same_store(clean_graph(ring), literal_pair_graph(ring, ring.idempotents()))
     assert_same_store(cl1(ring), literal_pair_graph(ring, (0,)))
+
+
+def test_idempotent_graph_matches_literal_pair_scan():
+    for n in range(2, 3001):
+        ring = factorize(n)
+        assert_same_store(idempotent_graph(ring), literal_idempotent_graph(ring))
 
 
 @pytest.mark.parametrize(

@@ -387,12 +387,6 @@ def test_unknown_subcommand_usage_error(capsys):
         assert "unrecognized arguments: --stable" in capsys.readouterr().err
 
 
-def test_backend_command(capsys):
-    code, out, _ = run(capsys, "backend")
-    assert code == 0
-    assert out == "python\n"
-
-
 def test_exit_code_policy():
     mk = lambda s: TheoremReport("t", "i", s, "d")
     assert _exit_code([]) == 2

@@ -15,6 +15,7 @@ from cleangraphs.cleangraph import cl2, idempotent_graph
 from cleangraphs.graph import (
     EXPORT_FORMATS,
     Graph,
+    IsoResult,
     IsoWitness,
     _row_of,
     _select,
@@ -86,12 +87,6 @@ def test_equality_ignores_vertex_order():
 @given(small_graphs())
 def test_handshake(g):
     assert sum(len(g.neighbors(v)) for v in g.vertices) == 2 * g.num_edges
-
-
-@given(small_graphs())
-def test_degree_sequence_is_sorted(g):
-    seq = g.degree_sequence()
-    assert list(seq) == sorted(seq, reverse=True)
 
 
 # -- bitset rows against their literal reading ---------------------------------------
@@ -172,6 +167,30 @@ def test_find_isomorphism_rejects_different_structure():
         ]
     )
     assert find_isomorphism(c6, two_c3).status == "not_isomorphic"
+
+
+@pytest.mark.parametrize(
+    "g,h",
+    [
+        (empty_graph(2), empty_graph(3)),  # vertex counts differ
+        (path_graph(3), complete_graph(3)),  # edge counts differ
+        # 4 vertices and 3 edges each, degrees 2,2,1,1 against 3,1,1,1
+        (path_graph(4), Graph([], [("c", "x"), ("c", "y"), ("c", "z")])),
+    ],
+    ids=["vertex_count", "edge_count", "degree_multiset"],
+)
+def test_searcher_rejects_on_invariants_without_search(g, h, monkeypatch):
+    # decided from the degrees alone: no neighbour list is read
+    def unread(row, values):
+        raise AssertionError("a neighbour list was built")
+
+    monkeypatch.setattr(graph_module, "_select", unread)
+    assert find_isomorphism(g, h) == IsoResult("not_isomorphic", None, 0)
+    assert find_isomorphism(h, g) == IsoResult("not_isomorphic", None, 0)
+
+
+def test_searcher_maps_two_empty_graphs_without_search():
+    assert find_isomorphism(Graph(), Graph()) == IsoResult("isomorphic", IsoWitness(()), 0)
 
 
 def test_find_isomorphism_budget_exhaustion():

@@ -66,15 +66,7 @@ def test_str_form():
 def test_crt_round_trip(n, data):
     r = factorize(n)
     a = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert r.crt_compose(tuple(a % q for q in r.prime_power_moduli)) == a
-
-
-def test_crt_compose_validates():
-    r = factorize(12)
-    with pytest.raises(ValueError):
-        r.crt_compose((1,))
-    with pytest.raises(ValueError):
-        r.crt_compose((4, 1))  # 4 is out of range mod 4
+    assert r._compose_all([[a % q] for q in r.prime_power_moduli]) == (a,)
 
 
 # -- idempotents and units ------------------------------------------------------

@@ -445,3 +445,60 @@ def test_shu_connectivity_fails_without_the_joins(monkeypatch):
     assert r.status == "fail"
     assert r.evidence == {"components": 3, "input_null": False}
     assert r.detail == "input non-null but result has 3 component(s)"
+
+
+# -- the witness tail: what each searcher verdict makes of a verified witness ----
+
+WITNESS_CASES = {
+    "general": (
+        lambda: verify_general(30),
+        "Shu(t=4, n=8) over the 6-vertex idempotent graph",
+        [("t", 4), ("k", 8), ("vertices", 56), ("edges", 518)],
+    ),
+    "pq": (lambda: verify_pq(15), "Sh(t=4, n=8)", [("t", 4), ("k", 8), ("vertices", 24)]),
+    "bridge": (
+        lambda: verify_sh_shu_bridge(2, 6),
+        "Shu(t=2, n=6) of a single edge",
+        [("vertices", 18)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WITNESS_CASES))
+@pytest.mark.parametrize(
+    "verdict,status,note",
+    [
+        ("isomorphic", "pass", "searcher concurs (7 nodes)"),
+        ("inconclusive", "inconclusive", "searcher budget exhausted (7 nodes)"),
+        ("not_isomorphic", "fail", "searcher contradicts the verified witness"),
+    ],
+    ids=["isomorphic", "inconclusive", "not_isomorphic"],
+)
+def test_witness_tail_reports_the_searcher_verdict(monkeypatch, case, verdict, status, note):
+    # the witness holds, so everything after it comes from the searcher
+    run, onto, evidence = WITNESS_CASES[case]
+    monkeypatch.setattr(
+        verify_module, "find_isomorphism", lambda g, h: IsoResult(verdict, None, 7)
+    )
+    r = run()
+    assert r.status == status
+    if status == "pass":
+        assert r.detail == f"witness onto {onto} verified; {note}"
+    else:
+        assert r.detail == f"witness verified but {note}"
+    assert list(r.evidence.items()) == evidence + [("searcher", verdict), ("searcher_nodes", 7)]
+
+
+@pytest.mark.parametrize("case", list(WITNESS_CASES))
+def test_witness_tail_skips_the_searcher_above_the_gate(monkeypatch, case):
+    run, onto, evidence = WITNESS_CASES[case]
+
+    def never(g, h):
+        raise AssertionError("the searcher ran above the size gate")
+
+    monkeypatch.setattr(verify_module, "find_isomorphism", never)
+    monkeypatch.setattr(verify_module, "SEARCH_GATE", 0)
+    r = run()
+    assert r.status == "pass"
+    assert r.detail == f"witness onto {onto} verified; searcher skipped (size gate)"
+    assert list(r.evidence.items()) == evidence + [("searcher", "skipped")]
