@@ -369,6 +369,16 @@ def find_isomorphism(
     result does not depend on the order the vertices were added in.  A
     witness is returned only once verify_mapping accepts it;
     RuntimeError otherwise.
+
+    The search runs on h's rows renumbered in label order, so a color
+    class is one row whose ascending bits are its candidates in label
+    order.  At each depth the free members of the class are AND-ed with
+    the rows of the images of the vertex's mapped neighbours: a member
+    outside one of them cannot match the mapped prefix.  Each survivor
+    still gets the exact prefix test.  Every free member counts as one
+    node, tested or filtered out, so the free members passed over on the
+    way to a candidate, and those left when a depth is exhausted, are
+    counted by one bit count each.
     """
     refined = _joint_refinement(g, h)
     if refined is None:
@@ -379,58 +389,82 @@ def find_isomorphism(
 
     order = _search_order(g, cg)
     k = len(order)
-    # candidates of each color, in label order
-    by_color: dict[int, list[int]] = {}
-    for v in sorted(range(k), key=h.labels.__getitem__):
-        by_color.setdefault(ch[v], []).append(v)
-    # back[d]: the neighbours of order[d] that come before it in the order
-    everyone = range(k)
+    # h in label order: bit s of rows[r] is set when the h vertices of
+    # label ranks r and s are adjacent
+    by_label = sorted(range(k), key=h.labels.__getitem__)
+    rank = sorted(range(k), key=by_label.__getitem__)  # inverse of by_label
+    rows = [_row_of(_select(h.adj[v], rank), k) for v in by_label]
+    members: dict[int, list[int]] = {}
+    for r, v in enumerate(by_label):
+        members.setdefault(ch[v], []).append(r)
+    by_color = {c: _row_of(rs, k) for c, rs in members.items()}
+    # classes[d]: the candidates for order[d]; back[d]: the depths of the
+    # neighbours of order[d] that come before it in the order
+    classes = [by_color[cg[v]] for v in order]
+    depth_of = sorted(range(k), key=order.__getitem__)  # inverse of order
     back: list[list[int]] = []
     placed = 0
     for v in order:
-        back.append(_select(g.adj[v] & placed, everyone))
+        back.append(_select(g.adj[v] & placed, depth_of))
         placed |= 1 << v
 
-    h_adj = h.adj
-    image = [0] * k  # image[v]: the h vertex that g vertex v is mapped to
-    used = 0  # the h vertices mapped onto so far, as a row
-    cand_iters: list[Iterable[int]] = [iter(by_color.get(cg[order[0]], []))]
-    # targets[d]: the images of back[d], as a row; the images are distinct,
-    # so their sum is their union
-    targets = [0]
+    # a negative budget stops at the first node, as a zero one does
+    budget = max(budget, 0)
+    # per depth d: picked[d], the rank order[d] is mapped to as a one-bit
+    # row, and picked_rows[d], its row; free[d], the members of classes[d]
+    # neither used nor yet passed over, and cands[d], those of them in
+    # the row of every target; targets[d], the images of back[d]
+    picked, picked_rows = [0] * k, [0] * k
+    free, cands, targets = [0] * k, [0] * k, [0] * k
+    free[0] = cands[0] = classes[0]
+    used = 0  # the ranks mapped onto so far, as a row
     depth = 0
     expanded = 0
 
     while depth >= 0:
-        target = targets[depth]
-        for cand in cand_iters[depth]:
-            if used >> cand & 1:
-                continue
-            expanded += 1
+        left, rest, target = cands[depth], free[depth], targets[depth]
+        while left:
+            low = left & -left
+            left ^= low
+            # every free member up to the candidate is one node
+            passed = rest & (low << 1) - 1
+            rest ^= passed
+            expanded += passed.bit_count()
             if expanded > budget:
-                return IsoResult("inconclusive", None, expanded)
+                return IsoResult("inconclusive", None, budget + 1)
+            row = rows[low.bit_length() - 1]
             # exact consistency with the mapped prefix: the mapped vertices
-            # adjacent to cand are exactly the images of the current vertex's
-            # mapped neighbours, so edges and non-edges both match
-            if h_adj[cand] & used != target:
-                continue
-            image[order[depth]] = cand
-            used |= 1 << cand
-            depth += 1
-            if depth == k:
-                witness = IsoWitness.from_dict({g.labels[v]: h.labels[image[v]] for v in range(k)})
-                if not verify_mapping(g, h, witness):
-                    raise RuntimeError("searcher built a witness that is not an isomorphism")
-                return IsoResult("isomorphic", witness, expanded)
-            cand_iters.append(iter(by_color.get(cg[order[depth]], [])))
-            targets.append(sum(1 << image[w] for w in back[depth]))
-            break
+            # adjacent to the candidate are exactly the images of the
+            # current vertex's mapped neighbours, so edges and non-edges
+            # both match
+            if row & used == target:
+                break
         else:
-            cand_iters.pop()
-            targets.pop()
+            # the free members after the last candidate are nodes too
+            expanded += rest.bit_count()
+            if expanded > budget:
+                return IsoResult("inconclusive", None, budget + 1)
             depth -= 1
             if depth >= 0:
-                used ^= 1 << image[order[depth]]
+                used ^= picked[depth]
+            continue
+        cands[depth], free[depth] = left, rest
+        picked[depth], picked_rows[depth] = low, row
+        used |= low
+        depth += 1
+        if depth == k:
+            witness = IsoWitness.from_dict(
+                {g.labels[v]: h.labels[by_label[p.bit_length() - 1]] for v, p in zip(order, picked)}
+            )
+            if not verify_mapping(g, h, witness):
+                raise RuntimeError("searcher built a witness that is not an isomorphism")
+            return IsoResult("isomorphic", witness, expanded)
+        target, fit = 0, classes[depth] & ~used
+        free[depth] = fit
+        for b in back[depth]:
+            target |= picked[b]
+            fit &= picked_rows[b]
+        cands[depth], targets[depth] = fit, target
     return IsoResult("not_isomorphic", None, expanded)
 
 

@@ -1,6 +1,6 @@
 """Graphs the tests build but the package does not need: paths, empty
-graphs, disjoint unions, relabellings, induced subgraphs and one graph
-of each isomorphism type.
+graphs, circulants, ladders, disjoint unions, relabellings, induced
+subgraphs and one graph of each isomorphism type.
 
 Every helper builds through ``Graph(labels, edges)`` and reads only
 ``vertices`` and ``edges()``, so it holds whatever the adjacency store.
@@ -23,6 +23,13 @@ def empty_graph(k: int) -> Graph:
 def path_graph(k: int) -> Graph:
     names = labels(k)
     return Graph(names, zip(names, names[1:]))
+
+
+def circulant_graph(m: int, steps: Iterable[int], prefix: str = "c") -> Graph:
+    """Vertex i joined to i + s mod m for each step s; the cycle C_m is
+    the circulant with the step 1.  Vertex i is ``{prefix}{i}``."""
+    names = [f"{prefix}{i}" for i in range(m)]
+    return Graph(names, [(names[i], names[(i + s) % m]) for s in steps for i in range(m) if s % m])
 
 
 def disjoint_union(graphs: Iterable[Graph]) -> Graph:
@@ -58,3 +65,18 @@ def graph_types(k: int) -> list[Graph]:
         if all(find_isomorphism(g, h).status == "not_isomorphic" for h in types):
             types.append(g)
     return types
+
+
+def ladder_graph(m: int, prefix: str, twisted: bool) -> Graph:
+    """The prism over an m-cycle (two m-cycles with i joined to i + m),
+    or with ``twisted`` the Moebius ladder (one 2m-cycle with i joined
+    to i + m); vertex i is ``{prefix}{i}``.  Both are cubic on 2m
+    vertices, and only the prism is bipartite for even m."""
+    if twisted:
+        rails = [(i, (i + 1) % (2 * m)) for i in range(2 * m)]
+    else:
+        ring = [(i, (i + 1) % m) for i in range(m)]
+        rails = ring + [(a + m, b + m) for a, b in ring]
+    edges = rails + [(i, i + m) for i in range(m)]
+    names = [f"{prefix}{i}" for i in range(2 * m)]
+    return Graph(names, [(names[a], names[b]) for a, b in edges])

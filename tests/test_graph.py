@@ -6,6 +6,7 @@ import io
 import json
 import random
 from itertools import combinations
+from typing import Iterable
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,11 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from cleangraphs import graph as graph_module, verify as verify_module
 from cleangraphs.cleangraph import cl2, idempotent_graph
 from cleangraphs.graph import (
+    DEFAULT_SEARCH_BUDGET,
     EXPORT_FORMATS,
     Graph,
     IsoResult,
     IsoWitness,
+    _joint_refinement,
     _row_of,
+    _search_order,
     _select,
     complete_graph,
     export,
@@ -29,7 +33,15 @@ from cleangraphs.modring import factorize
 from cleangraphs.shuriken import build_shu
 from cleangraphs.verify import verify_general
 
-from graph_helpers import disjoint_union, empty_graph, graph_types, path_graph, relabel
+from graph_helpers import (
+    circulant_graph,
+    disjoint_union,
+    empty_graph,
+    graph_types,
+    ladder_graph,
+    path_graph,
+    relabel,
+)
 
 
 @st.composite
@@ -196,9 +208,8 @@ def test_searcher_maps_two_empty_graphs_without_search():
 def test_find_isomorphism_budget_exhaustion():
     g = complete_graph(8)
     h = relabel(g, {f"v{i}": f"w{i}" for i in range(1, 9)})
-    res = find_isomorphism(g, h, budget=3)
-    assert res.status == "inconclusive"
-    assert res.nodes_expanded > 3
+    # the count stops at the first node past the budget
+    assert find_isomorphism(g, h, budget=3) == IsoResult("inconclusive", None, 4)
 
 
 def test_searcher_never_returns_an_unverified_witness(monkeypatch):
@@ -263,20 +274,31 @@ def test_searcher_result_is_pinned_on_shuffled_labels():
     )
 
 
+def _master_pair(n: int) -> tuple[Graph, Graph]:
+    """cl2(Z_n) and the shuriken graph of the master statement."""
+    ring = factorize(n)
+    part = ring.unit_partition()
+    return cl2(n), build_shu(idempotent_graph(ring), part.t, part.k)
+
+
 def test_searcher_result_is_pinned_on_pair_labels():
     # cl2(Z_22) stores "(1,3)" before "(1,13)" but sorts it after; the
     # witness sends (e, u) to copy[u] of the idempotent e (hub for e = 1)
-    left = cl2(22)
-    ring = factorize(22)
-    part = ring.unit_partition()
-    right = build_shu(idempotent_graph(ring), part.t, part.k)
-    res = find_isomorphism(left, right)
+    res = find_isomorphism(*_master_pair(22))
     assert res.nodes_expanded == 73
     copy = {1: 1, 3: 9, 5: 6, 7: 8, 9: 7, 13: 10, 15: 4, 17: 3, 19: 5, 21: 2}
     images = {1: "z", 11: "11", 12: "12"}
     assert res.witness.pairs == tuple(
         sorted((f"({e},{u})", f"{images[e]}@{i}") for e in images for u, i in copy.items())
     )
+
+
+def test_searcher_work_is_pinned_on_the_ladder_shuriken_pair():
+    # the heaviest searcher call of the benchmark's shu workload: cubic
+    # inputs, so refinement leaves the whole search to the backtracking
+    left = build_shu(ladder_graph(4, "a", False), 2, 4)
+    right = build_shu(ladder_graph(4, "b", True), 2, 4)
+    assert find_isomorphism(left, right) == IsoResult("not_isomorphic", None, 170132)
 
 
 @given(small_graphs(), st.randoms(use_true_random=False))
@@ -306,6 +328,173 @@ def test_witness_round_trip():
     w = IsoWitness.from_dict({"b": "y", "a": "x"})
     assert w.pairs == (("a", "x"), ("b", "y"))
     assert w.as_dict() == {"a": "x", "b": "y"}
+
+
+# -- the searcher against its literal form --------------------------------------------
+#
+# find_isomorphism as it was before it filtered candidates by bitsets and
+# counted nodes by bit counts, kept verbatim so that the fast version can
+# be held to it: same verdict, same witness, same node count, also when
+# the budget cuts the search.
+
+
+def literal_find_isomorphism(
+    g: Graph, h: Graph, budget: int = DEFAULT_SEARCH_BUDGET
+) -> IsoResult:
+    """Decide whether g and h are isomorphic, within a node budget.
+
+    Pipeline: joint color refinement, whose first step compares the
+    degree histograms, then color-respecting backtracking.  Exhausting
+    the search space proves non-isomorphism; exceeding ``budget`` node
+    expansions yields ``inconclusive`` instead of a wrong verdict.  Ties
+    in the search order and among candidates are broken by label, so the
+    result does not depend on the order the vertices were added in.  A
+    witness is returned only once verify_mapping accepts it;
+    RuntimeError otherwise.
+    """
+    refined = _joint_refinement(g, h)
+    if refined is None:
+        return IsoResult("not_isomorphic", None, 0)
+    if g.num_vertices == 0:
+        return IsoResult("isomorphic", IsoWitness(()), 0)
+    cg, ch = refined
+
+    order = _search_order(g, cg)
+    k = len(order)
+    # candidates of each color, in label order
+    by_color: dict[int, list[int]] = {}
+    for v in sorted(range(k), key=h.labels.__getitem__):
+        by_color.setdefault(ch[v], []).append(v)
+    # back[d]: the neighbours of order[d] that come before it in the order
+    everyone = range(k)
+    back: list[list[int]] = []
+    placed = 0
+    for v in order:
+        back.append(_select(g.adj[v] & placed, everyone))
+        placed |= 1 << v
+
+    h_adj = h.adj
+    image = [0] * k  # image[v]: the h vertex that g vertex v is mapped to
+    used = 0  # the h vertices mapped onto so far, as a row
+    cand_iters: list[Iterable[int]] = [iter(by_color.get(cg[order[0]], []))]
+    # targets[d]: the images of back[d], as a row; the images are distinct,
+    # so their sum is their union
+    targets = [0]
+    depth = 0
+    expanded = 0
+
+    while depth >= 0:
+        target = targets[depth]
+        for cand in cand_iters[depth]:
+            if used >> cand & 1:
+                continue
+            expanded += 1
+            if expanded > budget:
+                return IsoResult("inconclusive", None, expanded)
+            # exact consistency with the mapped prefix: the mapped vertices
+            # adjacent to cand are exactly the images of the current vertex's
+            # mapped neighbours, so edges and non-edges both match
+            if h_adj[cand] & used != target:
+                continue
+            image[order[depth]] = cand
+            used |= 1 << cand
+            depth += 1
+            if depth == k:
+                witness = IsoWitness.from_dict({g.labels[v]: h.labels[image[v]] for v in range(k)})
+                if not verify_mapping(g, h, witness):
+                    raise RuntimeError("searcher built a witness that is not an isomorphism")
+                return IsoResult("isomorphic", witness, expanded)
+            cand_iters.append(iter(by_color.get(cg[order[depth]], [])))
+            targets.append(sum(1 << image[w] for w in back[depth]))
+            break
+        else:
+            cand_iters.pop()
+            targets.pop()
+            depth -= 1
+            if depth >= 0:
+                used ^= 1 << image[order[depth]]
+    return IsoResult("not_isomorphic", None, expanded)
+
+
+
+def assert_searcher_matches_literal(g: Graph, h: Graph) -> None:
+    full = literal_find_isomorphism(g, h)
+    assert find_isomorphism(g, h) == full
+    nodes = full.nodes_expanded
+    # a negative budget cuts at the first node, as a zero one does
+    for budget in (-1, 0, 1, nodes - 1, nodes):
+        assert find_isomorphism(g, h, budget) == literal_find_isomorphism(g, h, budget)
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    names = [f"w{i}" for i in range(g.num_vertices)]
+    rng.shuffle(names)
+    return relabel(g, dict(zip(g.vertices, names)))
+
+
+@st.composite
+def relabelled_pairs(draw):
+    g = draw(small_graphs(max_vertices=9))
+    return g, shuffled(g, draw(st.randoms(use_true_random=False)))
+
+
+@st.composite
+def toggled_pairs(draw):
+    """One graph with a pair of vertices toggled on each side, the second
+    side relabelled: the same pair twice gives isomorphic sides, two pairs
+    often give equal edge counts on sides that differ."""
+    g = draw(small_graphs(max_vertices=9).filter(lambda g: g.num_vertices >= 2))
+    pairs = list(combinations(g.vertices, 2))
+    sides = [
+        Graph(g.vertices, set(g.edges()) ^ {tuple(sorted(draw(st.sampled_from(pairs))))})
+        for _ in range(2)
+    ]
+    return sides[0], shuffled(sides[1], draw(st.randoms(use_true_random=False)))
+
+
+@st.composite
+def regular_pairs(draw):
+    """Pairs that colour refinement cannot split: a cycle or circulant
+    against a relabelled circulant with as many steps, and a prism against
+    a relabelled prism or Moebius ladder."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        m = draw(st.integers(min_value=3, max_value=6))
+        twisted = draw(st.booleans())
+        return ladder_graph(m, "a", False), shuffled(ladder_graph(m, "b", twisted), rng)
+    m = draw(st.integers(min_value=3, max_value=11))
+    steps = range(1, m // 2 + 1)
+    size = draw(st.integers(min_value=1, max_value=len(steps)))
+    chosen = st.lists(st.sampled_from(steps), min_size=size, max_size=size, unique=True)
+    left, right = draw(chosen), draw(chosen)
+    return circulant_graph(m, left), shuffled(circulant_graph(m, right), rng)
+
+
+@given(st.one_of(relabelled_pairs(), toggled_pairs(), regular_pairs()))
+@settings(max_examples=200, deadline=None)
+def test_searcher_matches_its_literal_form(pair):
+    assert_searcher_matches_literal(*pair)
+
+
+def _shu_pair(g: Graph, h: Graph) -> tuple[Graph, Graph]:
+    """Shu(g) and Shu(h) at t = 2, n = 4."""
+    return build_shu(g, 2, 4), build_shu(h, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _truncated_tetrahedra,
+        lambda: _truncated_tetrahedra()[::-1],
+        lambda: _master_pair(22),
+        lambda: _shu_pair(circulant_graph(6, [1, 3]), ladder_graph(3, "x", False)),
+        lambda: _shu_pair(ladder_graph(3, "a", False), ladder_graph(3, "b", True)),
+        lambda: _shu_pair(circulant_graph(8, [1]), shuffled(circulant_graph(8, [1]), random.Random(8))),
+    ],
+    ids=["tetrahedra", "tetrahedra_reversed", "cl2_22", "shu_k33_prism", "shu_ladders3", "shu_c8"],
+)
+def test_searcher_matches_its_literal_form_on_pinned_pairs(make):
+    assert_searcher_matches_literal(*make())
 
 
 # -- the witness check against its literal form --------------------------------------

@@ -27,7 +27,7 @@ from cleangraphs.verify import (
     verify_shu_inheritance,
 )
 
-from graph_helpers import empty_graph, path_graph, relabel
+from graph_helpers import empty_graph, ladder_graph, path_graph, relabel
 
 
 def test_degree_formula_passes():
@@ -167,6 +167,15 @@ def test_inheritance_searcher_work_is_pinned_on_a_regular_pair():
     r = verify_shu_inheritance(k33, prism, 2, 4)
     assert r.ok
     assert r.evidence == {"inputs": "not_isomorphic", "results": "not_isomorphic", "nodes": 31564}
+
+
+@pytest.mark.parametrize("m,nodes", [(3, 8116), (4, 170836)])
+def test_inheritance_searcher_work_is_pinned_on_ladders(m, nodes):
+    # the heaviest ops of the benchmark's shu workload: the prism against
+    # the Moebius ladder, cubic on 2m vertices and not isomorphic
+    r = verify_shu_inheritance(ladder_graph(m, "a", False), ladder_graph(m, "b", True), 2, 4)
+    assert r.ok
+    assert r.evidence == {"inputs": "not_isomorphic", "results": "not_isomorphic", "nodes": nodes}
 
 
 def test_inheritance_rejections():
