@@ -297,6 +297,26 @@ def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) 
     return True
 
 
+def _renumbered(rows: list[int], perm: list[int]) -> list[int]:
+    """The rows permuted by ``perm``: bit s of row r of the result is bit
+    ``perm[s]`` of ``rows[perm[r]]``, so a vertex's new index is its
+    position in ``perm``.
+
+    The rows must be symmetric, as every ``Graph`` keeps them.  The rows
+    ``rows[perm[i]]`` are written as one string of binary digits, row
+    ``perm[k - 1]`` first and each row's highest bit first, so the string
+    is the bit matrix with row i holding bit j at ``i * k + j``, reversed.
+    By symmetry, bit s of new row r is bit ``perm[r]`` of ``rows[perm[s]]``,
+    a column of that matrix, and one strided slice of the string reads
+    it highest s first, ready to parse.  The cost is V² digits, however
+    few bits are set.
+    """
+    k = len(rows)
+    fmt = f"0{k}b"
+    digits = "".join([format(rows[p], fmt) for p in reversed(perm)])
+    return [int(digits[k - 1 - c :: k], 2) for c in perm]
+
+
 def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
     """Degree-seeded color refinement run over both graphs at once.
 
@@ -304,28 +324,51 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
     None as soon as the color histograms split (which certifies
     non-isomorphism).  The degree histograms are compared before any
     neighbour list is built.
+
+    Each round gives a vertex its old color together with the multiset
+    of its neighbours' colors, read in one of two exact forms.  With V
+    vertices, C colors and a degree total of 2E, a round with V·C <= 2E
+    keeps each color class as a row and counts the vertex's neighbours
+    in each class by one AND and one bit count; a sparser round sorts
+    the neighbours' colors, from neighbour lists built the first time
+    such a round comes.  Once the histograms agree, V, C and E are the
+    same in both graphs, so both take the same form and share one
+    palette.
     """
     cg, ch = g.degrees(), h.degrees()
     if Counter(cg) != Counter(ch):
         return None
-    everyone = range(len(cg))
-    g_nbrs = [_select(row, everyone) for row in g.adj]
-    h_nbrs = [_select(row, everyone) for row in h.adj]
+    k, total = len(cg), sum(cg)
+
+    def counted(rows: list[int], old: list[int], colors: list[int]) -> list[tuple]:
+        # each class as a row; a vertex meets it in the bits of their AND
+        members = dict.fromkeys(colors, 0)
+        for v, c in enumerate(old):
+            members[c] |= 1 << v
+        counts = [list(map(int.bit_count, map(m.__and__, rows))) for m in members.values()]
+        return list(zip(old, *counts))
+
+    def sorted_colors(nbrs: list[list[int]], old: list[int]) -> list[tuple]:
+        get = old.__getitem__
+        return list(zip(old, [tuple(sorted(map(get, row))) for row in nbrs]))
+
+    lists: tuple[list[list[int]], ...] = ()  # g's and h's neighbour lists, once built
     while True:
-        palette: dict[tuple, int] = {}
-
-        def recolor(nbrs: list[list[int]], colors: list[int]) -> list[int]:
-            return [
-                palette.setdefault((c, tuple(sorted([colors[w] for w in row]))), len(palette))
-                for c, row in zip(colors, nbrs)
-            ]
-
-        ng, nh = recolor(g_nbrs, cg), recolor(h_nbrs, ch)
-        stable = len(set(ng)) == len(set(cg))
-        cg, ch = ng, nh
+        colors = list(dict.fromkeys(cg))
+        if k * len(colors) <= total:
+            sg, sh = counted(g.adj, cg, colors), counted(h.adj, ch, colors)
+        else:
+            if not lists:
+                everyone = range(k)
+                lists = tuple([_select(row, everyone) for row in x.adj] for x in (g, h))
+            sg, sh = sorted_colors(lists[0], cg), sorted_colors(lists[1], ch)
+        # new colors numbered by first appearance in g; a signature that g
+        # lacks gets None, which splits the histograms
+        palette = dict(zip(dict.fromkeys(sg), range(k)))
+        cg, ch = list(map(palette.__getitem__, sg)), list(map(palette.get, sh))
         if Counter(cg) != Counter(ch):
             return None
-        if stable:
+        if len(palette) == len(colors):
             return cg, ch
 
 
@@ -333,26 +376,42 @@ def _search_order(g: Graph, colors: list[int]) -> list[int]:
     """Vertex indices in backtracking order: stay adjacent to the mapped
     prefix, prefer rare colors and high degree, then the smaller label.
 
-    The last three keys never change, so they are ranked once; a
-    vertex's score is its rank less k for each placed neighbour, and the
-    next vertex is the one with the lowest score (labels are distinct,
-    so scores never tie).
+    The last three keys never change, so they are ranked once.  The
+    vertices not yet placed are kept, by rank, as rows bucketed by how
+    many placed neighbours they have; the next vertex is the lowest bit
+    of the highest non-empty bucket (labels are distinct, so ranks never
+    tie).  Placing it moves its neighbours up one bucket, with one AND
+    for each bucket passed, the highest first so that none moves twice.
     """
     class_size = Counter(colors)
     labels, k = g.labels, len(g.labels)
     degrees = g.degrees()
-    score = [0] * k
     ranked = sorted(range(k), key=lambda u: (class_size[colors[u]], -degrees[u], labels[u]))
-    for r, u in enumerate(ranked):
-        score[u] = r
+    rows = _renumbered(g.adj, ranked)  # by rank
+    unplaced = (1 << k) - 1
+    # buckets[j]: the ranks of the unplaced vertices with j placed neighbours
+    buckets = [unplaced]
     order: list[int] = []
-    remaining = set(range(k))
-    while remaining:
-        v = min(remaining, key=score.__getitem__)
-        order.append(v)
-        remaining.remove(v)
-        for w in _select(g.adj[v], range(k)):
-            score[w] -= k
+    while unplaced:
+        while not buckets[-1]:
+            buckets.pop()
+        top = buckets[-1]
+        low = top & -top
+        buckets[-1] = top ^ low
+        unplaced ^= low
+        r = low.bit_length() - 1
+        order.append(ranked[r])
+        lift = rows[r] & unplaced
+        if lift:
+            buckets.append(0)
+            j = len(buckets) - 2
+            while lift:
+                moved = buckets[j] & lift
+                if moved:
+                    buckets[j] ^= moved
+                    buckets[j + 1] |= moved
+                    lift ^= moved
+                j -= 1
     return order
 
 
@@ -392,8 +451,7 @@ def find_isomorphism(
     # h in label order: bit s of rows[r] is set when the h vertices of
     # label ranks r and s are adjacent
     by_label = sorted(range(k), key=h.labels.__getitem__)
-    rank = sorted(range(k), key=by_label.__getitem__)  # inverse of by_label
-    rows = [_row_of(_select(h.adj[v], rank), k) for v in by_label]
+    rows = _renumbered(h.adj, by_label)
     members: dict[int, list[int]] = {}
     for r, v in enumerate(by_label):
         members.setdefault(ch[v], []).append(r)

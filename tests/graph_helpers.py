@@ -1,11 +1,13 @@
 """Graphs the tests build but the package does not need: paths, empty
-graphs, circulants, ladders, disjoint unions, relabellings, induced
-subgraphs and one graph of each isomorphism type.
+graphs, circulants, ladders, seeded random connected graphs, disjoint
+unions, relabellings, induced subgraphs and one graph of each
+isomorphism type.
 
 Every helper builds through ``Graph(labels, edges)`` and reads only
 ``vertices`` and ``edges()``, so it holds whatever the adjacency store.
 """
 
+import random
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -80,3 +82,23 @@ def ladder_graph(m: int, prefix: str, twisted: bool) -> Graph:
     edges = rails + [(i, i + m) for i in range(m)]
     names = [f"{prefix}{i}" for i in range(2 * m)]
     return Graph(names, [(names[a], names[b]) for a, b in edges])
+
+
+def random_connected_graph(seed: int, k: int, m: int) -> tuple[Graph, Graph]:
+    """A seeded random connected graph on k >= 1 vertices and m edges,
+    k - 1 <= m <= k(k - 1)/2, and a copy relabelled at random and stored
+    in label order.
+    Each vertex after the first is joined to an earlier one, then random
+    pairs are added until there are m edges; vertex i is ``a{i}`` and its
+    copy ``b{j}`` for a shuffled j."""
+    rng = random.Random(seed)
+    names = [f"a{i}" for i in range(k)]
+    pairs = {(rng.randrange(i), i) for i in range(1, k)}
+    while len(pairs) < m:
+        a, b = sorted(rng.sample(range(k), 2))
+        pairs.add((a, b))
+    g = Graph(names, [(names[a], names[b]) for a, b in sorted(pairs)])
+    copies = [f"b{j}" for j in range(k)]
+    rng.shuffle(copies)
+    copy = relabel(g, dict(zip(names, copies)))
+    return g, Graph(sorted(copy.vertices), copy.edges())

@@ -12,8 +12,10 @@ import pytest
 
 from cleangraphs.cleangraph import closed_form_degrees
 from cleangraphs.cli import THEOREMS, _exit_code, main
+from cleangraphs.graph import export
 from cleangraphs.verify import TheoremReport
 
+from graph_helpers import ladder_graph, random_connected_graph
 from test_verify import plant, with_edge
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -443,6 +445,32 @@ def test_verify_all_range_matches_golden(capsys):
     assert code == 0
     assert err == ""
     assert out.encode() == _golden_bytes("verify_all_2_40.txt")
+
+
+@pytest.mark.parametrize(
+    "fixture,make",
+    [
+        ("prism4.edgelist", lambda: ladder_graph(4, "a", False)),
+        ("moebius4.edgelist", lambda: ladder_graph(4, "b", True)),
+        ("random60.edgelist", lambda: random_connected_graph(1, 60, 90)[0]),
+        ("random60_relabelled.edgelist", lambda: random_connected_graph(1, 60, 90)[1]),
+    ],
+)
+def test_searcher_golden_inputs_are_the_helpers_graphs(fixture, make):
+    # CI runs shu-inheritance on these files; they are rebuilt here from
+    # the test helpers alone
+    assert export(make(), "edgelist").encode() == _golden_bytes(fixture)
+
+
+def test_verify_shu_inheritance_on_a_random_pair_matches_golden(capsys):
+    # Shu has 366 vertices, and its refinement takes both round forms
+    code, out, _ = run(
+        capsys, "verify", "shu-inheritance", "--t", "2", "--n", "6",
+        "--input", str(GOLDEN / "random60.edgelist"),
+        "--input2", str(GOLDEN / "random60_relabelled.edgelist"), "--json", "--stable",
+    )
+    assert code == 0
+    assert out.encode() == _golden_bytes("shu_inheritance_random60.json")
 
 
 def general_golden_agrees_with_the_degree_law(n, vertices):

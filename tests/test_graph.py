@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from typing import Iterable
 
@@ -20,6 +21,7 @@ from cleangraphs.graph import (
     IsoResult,
     IsoWitness,
     _joint_refinement,
+    _renumbered,
     _row_of,
     _search_order,
     _select,
@@ -40,6 +42,7 @@ from graph_helpers import (
     graph_types,
     ladder_graph,
     path_graph,
+    random_connected_graph,
     relabel,
 )
 
@@ -125,6 +128,37 @@ def test_row_helpers_match_a_bit_by_bit_reading(spec):
     assert _row_of(members, width) == row
     # repeats and any order build the same row
     assert _row_of(members[::-1] + members[: len(members) // 2], width) == row
+
+
+@st.composite
+def permuted_rows(draw):
+    """The rows of a graph on up to 300 vertices, from empty through
+    sparse to complete, so that rows have fewer and more than FEW bits
+    and fill less and more than 1/DENSE of their width; and a random
+    order of the vertices."""
+    k = draw(st.integers(min_value=0, max_value=300))
+    share = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    adj = [0] * k
+    for i, j in combinations(range(k), 2):
+        if rng.random() < share:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return adj, perm
+
+
+@given(permuted_rows())
+@example(([], []))
+@example(([0], [0]))
+@example(([0b10, 0b01], [1, 0]))
+@settings(max_examples=100, deadline=None)
+def test_renumbered_matches_a_row_by_row_relabelling(case):
+    adj, perm = case
+    k = len(adj)
+    inverse = sorted(range(k), key=perm.__getitem__)
+    assert _renumbered(adj, perm) == [_row_of(_select(adj[p], inverse), k) for p in perm]
 
 
 # -- components ----------------------------------------------------------------
@@ -333,9 +367,70 @@ def test_witness_round_trip():
 # -- the searcher against its literal form --------------------------------------------
 #
 # find_isomorphism as it was before it filtered candidates by bitsets and
-# counted nodes by bit counts, kept verbatim so that the fast version can
-# be held to it: same verdict, same witness, same node count, also when
-# the budget cuts the search.
+# counted nodes by bit counts, with the refinement and the search order as
+# they were before they read class masks and buckets, kept verbatim so
+# that the fast versions can be held to them: same partition, same order,
+# same verdict, same witness, same node count, also when the budget cuts
+# the search.
+
+
+def literal_joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
+    """Degree-seeded color refinement run over both graphs at once.
+
+    Returns stable colorings (by vertex index) sharing one palette, or
+    None as soon as the color histograms split (which certifies
+    non-isomorphism).  The degree histograms are compared before any
+    neighbour list is built.
+    """
+    cg, ch = g.degrees(), h.degrees()
+    if Counter(cg) != Counter(ch):
+        return None
+    everyone = range(len(cg))
+    g_nbrs = [_select(row, everyone) for row in g.adj]
+    h_nbrs = [_select(row, everyone) for row in h.adj]
+    while True:
+        palette: dict[tuple, int] = {}
+
+        def recolor(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+            return [
+                palette.setdefault((c, tuple(sorted([colors[w] for w in row]))), len(palette))
+                for c, row in zip(colors, nbrs)
+            ]
+
+        ng, nh = recolor(g_nbrs, cg), recolor(h_nbrs, ch)
+        stable = len(set(ng)) == len(set(cg))
+        cg, ch = ng, nh
+        if Counter(cg) != Counter(ch):
+            return None
+        if stable:
+            return cg, ch
+
+
+def literal_search_order(g: Graph, colors: list[int]) -> list[int]:
+    """Vertex indices in backtracking order: stay adjacent to the mapped
+    prefix, prefer rare colors and high degree, then the smaller label.
+
+    The last three keys never change, so they are ranked once; a
+    vertex's score is its rank less k for each placed neighbour, and the
+    next vertex is the one with the lowest score (labels are distinct,
+    so scores never tie).
+    """
+    class_size = Counter(colors)
+    labels, k = g.labels, len(g.labels)
+    degrees = g.degrees()
+    score = [0] * k
+    ranked = sorted(range(k), key=lambda u: (class_size[colors[u]], -degrees[u], labels[u]))
+    for r, u in enumerate(ranked):
+        score[u] = r
+    order: list[int] = []
+    remaining = set(range(k))
+    while remaining:
+        v = min(remaining, key=score.__getitem__)
+        order.append(v)
+        remaining.remove(v)
+        for w in _select(g.adj[v], range(k)):
+            score[w] -= k
+    return order
 
 
 def literal_find_isomorphism(
@@ -352,14 +447,14 @@ def literal_find_isomorphism(
     witness is returned only once verify_mapping accepts it;
     RuntimeError otherwise.
     """
-    refined = _joint_refinement(g, h)
+    refined = literal_joint_refinement(g, h)
     if refined is None:
         return IsoResult("not_isomorphic", None, 0)
     if g.num_vertices == 0:
         return IsoResult("isomorphic", IsoWitness(()), 0)
     cg, ch = refined
 
-    order = _search_order(g, cg)
+    order = literal_search_order(g, cg)
     k = len(order)
     # candidates of each color, in label order
     by_color: dict[int, list[int]] = {}
@@ -470,31 +565,115 @@ def regular_pairs(draw):
     return circulant_graph(m, left), shuffled(circulant_graph(m, right), rng)
 
 
-@given(st.one_of(relabelled_pairs(), toggled_pairs(), regular_pairs()))
+def complement(g: Graph) -> Graph:
+    edges = set(g.edges())
+    return Graph(g.vertices, [e for e in combinations(sorted(g.vertices), 2) if e not in edges])
+
+
+@st.composite
+def dense_pairs(draw):
+    """The complements of a relabelled or a toggled pair: dense sides,
+    whose refinement rounds count neighbours by class masks."""
+    g, h = draw(st.one_of(relabelled_pairs(), toggled_pairs()))
+    return complement(g), complement(h)
+
+
+searcher_pairs = st.one_of(relabelled_pairs(), toggled_pairs(), regular_pairs(), dense_pairs())
+
+
+@given(searcher_pairs)
 @settings(max_examples=200, deadline=None)
 def test_searcher_matches_its_literal_form(pair):
     assert_searcher_matches_literal(*pair)
 
 
-def _shu_pair(g: Graph, h: Graph) -> tuple[Graph, Graph]:
-    """Shu(g) and Shu(h) at t = 2, n = 4."""
-    return build_shu(g, 2, 4), build_shu(h, 2, 4)
+def joint_classes(refined):
+    """A joint coloring as the set of its (g class, h class) pairs, one
+    pair per color: equal for two colorings that split both graphs alike,
+    whatever numbers they give the colors."""
+    if refined is None:
+        return None
+    members: dict[int, tuple[list[int], list[int]]] = {}
+    for side, colors in enumerate(refined):
+        for v, c in enumerate(colors):
+            members.setdefault(c, ([], []))[side].append(v)
+    return {(tuple(a), tuple(b)) for a, b in members.values()}
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        _truncated_tetrahedra,
-        lambda: _truncated_tetrahedra()[::-1],
-        lambda: _master_pair(22),
-        lambda: _shu_pair(circulant_graph(6, [1, 3]), ladder_graph(3, "x", False)),
-        lambda: _shu_pair(ladder_graph(3, "a", False), ladder_graph(3, "b", True)),
-        lambda: _shu_pair(circulant_graph(8, [1]), shuffled(circulant_graph(8, [1]), random.Random(8))),
-    ],
-    ids=["tetrahedra", "tetrahedra_reversed", "cl2_22", "shu_k33_prism", "shu_ladders3", "shu_c8"],
-)
-def test_searcher_matches_its_literal_form_on_pinned_pairs(make):
-    assert_searcher_matches_literal(*make())
+def assert_front_end_matches_literal(g: Graph, h: Graph) -> None:
+    refined, literal = _joint_refinement(g, h), literal_joint_refinement(g, h)
+    assert joint_classes(refined) == joint_classes(literal)
+    if refined is not None:
+        assert _search_order(g, refined[0]) == literal_search_order(g, literal[0])
+
+
+@given(searcher_pairs)
+@settings(max_examples=300, deadline=None)
+def test_front_end_matches_its_literal_form(pair):
+    assert_front_end_matches_literal(*pair)
+
+
+def _shu_pair(g: Graph, h: Graph, t: int = 2, n: int = 4) -> tuple[Graph, Graph]:
+    """Shu(g) and Shu(h), at t = 2, n = 4 unless given."""
+    return build_shu(g, t, n), build_shu(h, t, n)
+
+
+PINNED_PAIRS = {
+    "tetrahedra": _truncated_tetrahedra,
+    "tetrahedra_reversed": lambda: _truncated_tetrahedra()[::-1],
+    "cl2_22": lambda: _master_pair(22),
+    "shu_k33_prism": lambda: _shu_pair(circulant_graph(6, [1, 3]), ladder_graph(3, "x", False)),
+    "shu_ladders3": lambda: _shu_pair(ladder_graph(3, "a", False), ladder_graph(3, "b", True)),
+    "shu_c8": lambda: _shu_pair(circulant_graph(8, [1]), shuffled(circulant_graph(8, [1]), random.Random(8))),
+    # the pair that CI pins through verify shu-inheritance
+    "shu_random60": lambda: _shu_pair(*random_connected_graph(1, 60, 90), 2, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_PAIRS))
+def test_searcher_matches_its_literal_form_on_pinned_pairs(name):
+    assert_searcher_matches_literal(*PINNED_PAIRS[name]())
+
+
+@pytest.mark.parametrize("name", list(PINNED_PAIRS))
+def test_front_end_matches_its_literal_form_on_pinned_pairs(name):
+    g, h = PINNED_PAIRS[name]()
+    assert_front_end_matches_literal(g, h)
+    assert_front_end_matches_literal(h, g)
+
+
+def round_forms(g: Graph) -> list[str]:
+    """The form of each refinement round on g, read from V, the class
+    count C before the round and the degree total 2E: "mask" when
+    V·C <= 2E, else "list".  Rounds are counted on g alone; the joint
+    refinement makes as many, unless the histograms split first."""
+    colors = g.degrees()
+    k, total = len(colors), sum(colors)
+    nbrs = [_select(row, range(k)) for row in g.adj]
+    forms = []
+    while True:
+        count = len(set(colors))
+        forms.append("mask" if k * count <= total else "list")
+        palette: dict[tuple, int] = {}
+        colors = [
+            palette.setdefault((c, tuple(sorted(colors[w] for w in row))), len(palette))
+            for c, row in zip(colors, nbrs)
+        ]
+        if len(palette) == count:
+            return forms
+
+
+def test_front_end_inputs_take_both_round_forms():
+    # both forms are exact, so the oracle tests above pass whichever form
+    # a round takes; this shows that their inputs take both
+    forms = {name: round_forms(make()[0]) for name, make in PINNED_PAIRS.items()}
+    # regular sides are one class, so V·C <= 2E in their only round
+    assert all(forms[name] == ["mask"] for name in PINNED_PAIRS if name != "shu_random60")
+    # one call with a mask round and then sparse rounds
+    assert forms["shu_random60"] == ["mask", "list", "list"]
+    # the drawn pairs hold sparse sides and their complements
+    assert set(round_forms(path_graph(9))) == {"list"}
+    assert set(round_forms(complement(path_graph(9)))) == {"mask"}
 
 
 # -- the witness check against its literal form --------------------------------------

@@ -17,6 +17,7 @@ from cleangraphs.graph import Graph, _joint_refinement, find_isomorphism, verify
 from cleangraphs.verify import verify_prime_power, verify_shu_connectivity
 
 from graph_helpers import disjoint_union, relabel
+from test_graph import PINNED_PAIRS
 
 nx = pytest.importorskip("networkx")
 
@@ -67,6 +68,35 @@ def test_searcher_verdict_matches_vf2pp(pair):
     assert (res.status == "isomorphic") == nx.vf2pp_is_isomorphic(to_nx(g), to_nx(h))
     if res.witness is not None:
         assert verify_mapping(g, h, res.witness)
+
+
+def assert_vf2pp_respects_the_refinement(g: Graph, h: Graph) -> None:
+    # colour refinement is invariant under isomorphism, so an isomorphism
+    # that VF2++ finds on its own sends every vertex to one of its colour
+    mapping = nx.vf2pp_isomorphism(to_nx(g), to_nx(h))
+    assert mapping is not None
+    cg, ch = _joint_refinement(g, h)
+    assert all(cg[g.index[a]] == ch[h.index[b]] for a, b in mapping.items())
+
+
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(lambda k: graphs(k, "v")),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_vf2pp_isomorphisms_respect_the_refinement(g, rng):
+    names = [f"w{i}" for i in range(1, g.num_vertices + 1)]
+    rng.shuffle(names)
+    h = relabel(g, dict(zip(g.vertices, names)))
+    assert_vf2pp_respects_the_refinement(g, Graph(sorted(h.vertices), h.edges()))
+
+
+# the isomorphic pinned pairs but Shu of the random 60-vertex graph, on
+# which VF2++ runs from a fraction of a second to past 20 s, as string
+# hashing reorders its sets from one process to the next
+@pytest.mark.parametrize("name", ["tetrahedra", "tetrahedra_reversed", "cl2_22", "shu_c8"])
+def test_vf2pp_isomorphisms_respect_the_refinement_on_pinned_pairs(name):
+    assert_vf2pp_respects_the_refinement(*PINNED_PAIRS[name]())
 
 
 @given(graphs(8, "v"))
