@@ -30,7 +30,8 @@ def pair_label(e: int, u: int) -> str:
 
 
 def idempotent_graph(r: ModRing | int) -> Graph:
-    """Graph on the idempotents other than 0 and 1; e ~ f iff e*f = 0."""
+    """Graph on the idempotents other than 0 and 1; e ~ f iff e*f = 0.
+    Vertex x is ``ring.nontrivial_idempotents()[x]``, labelled ``str(e)``."""
     ring = _ring(r)
     n = ring.modulus
     verts = ring.nontrivial_idempotents()

@@ -3,7 +3,11 @@ deterministic export.
 
 Vertices are the indices 0..V-1 in insertion order, and every algorithm
 works on them.  String labels appear only at the boundary: the
-label-taking methods, isomorphism witnesses, export and parsing.
+label-taking methods, the witnesses the searcher returns, export and
+parsing.  A builder hands ``Graph.from_rows`` a label source, and the
+labels and their index are built when first read, so a graph that is
+only checked never makes them.  ``verify_mapping`` takes a witness as a
+permutation of indices, and translates a label map to one.
 Each vertex's neighbours are one int, a bitset with bit j set when
 vertex j is a neighbour: degrees are bit counts, and a row is built or
 compared whole instead of an entry at a time.
@@ -18,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -29,8 +32,8 @@ from typing import Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 # a row with more than 1/DENSE of its width set is read in one pass over
-# all its binary digits, a sparser one a set bit at a time; a row with
-# fewer than FEW set bits is split or built one bit at a time
+# all its binary digits, a sparser one a non-zero byte at a time; a row
+# with fewer than FEW set bits is split or built one bit at a time
 DENSE = 16
 FEW = 16
 
@@ -39,17 +42,23 @@ T = TypeVar("T")
 
 # -- bitset rows -----------------------------------------------------------------
 
-_ONE = re.compile("1")
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to bit values
+_NONZERO = bytes([0] + [1] * 255)  # a byte to 1 when it has a set bit
+# _OFFSETS[c]: the set bits of the byte c; those with bit b set are the
+# ones below 1 << b with b added
+_OFFSETS: list[tuple[int, ...]] = [()]
+for _bit in range(8):
+    _OFFSETS += [bits + (_bit,) for bits in _OFFSETS]
 
 
 def _select(row: int, values: Sequence[T]) -> list[T]:
     """``values[j]`` for each set bit j of row, in increasing j; with
     ``range(V)`` as the values, the indices of the set bits.
 
-    A few bits are split off the top one at a time; more are found in
-    the binary digits, by a scan for each "1" when they are sparse and by
-    one pass over every digit when they are dense.
+    A few bits are split off the top one at a time.  A dense row is read
+    in one pass over its binary digits.  A sparse one is written as
+    little-endian bytes, and each non-zero byte is found by a byte search
+    and gives up its set bits, so the cost is V/8 bytes plus the bits.
     """
     count = row.bit_count()
     if count < FEW:
@@ -60,10 +69,20 @@ def _select(row: int, values: Sequence[T]) -> list[T]:
             row ^= 1 << j
         out.reverse()
         return out
-    digits = bin(row)[:1:-1]  # bit j is digits[j]
-    if count * DENSE > len(digits):
+    width = row.bit_length()
+    if count * DENSE > width:
+        digits = bin(row)[:1:-1]  # bit j is digits[j]
         return list(compress(values, digits.encode().translate(_BITS)))
-    return [values[m.start()] for m in _ONE.finditer(digits)]
+    data = row.to_bytes((width + 7) // 8, "little")
+    find = data.translate(_NONZERO).find
+    out = []
+    at = find(1)
+    while at >= 0:
+        base = 8 * at
+        for b in _OFFSETS[data[at]]:
+            out.append(values[base + b])
+        at = find(1, at + 1)
+    return out
 
 
 def _row_of(indices: list[int], width: int) -> int:
@@ -84,48 +103,76 @@ def _row_of(indices: list[int], width: int) -> int:
 
 
 class Graph:
-    """Mutable simple graph: vertex i has label ``labels[i]`` and the
-    neighbour row ``adj[i]``, an int with bit j set when j is a
-    neighbour; ``index`` maps each label back to i."""
+    """Mutable simple graph: vertex i has the neighbour row ``adj[i]``, an
+    int with bit j set when j is a neighbour, and the label ``labels[i]``;
+    ``index`` maps each label back to i.
 
-    __slots__ = ("labels", "index", "adj")
+    ``labels`` and ``index`` are built when first read, from the label
+    source the graph was made with, so a graph that nothing asks for a
+    label never makes one.  A builder's label source may only read data
+    that never changes after the build.
+    """
+
+    __slots__ = ("adj", "_source", "_labels", "_index")
 
     def __init__(
         self,
         vertices: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ) -> None:
-        # repeated labels keep their first position
-        self.labels: list[str] = list(dict.fromkeys(vertices))
-        for v in self.labels:
-            if not isinstance(v, str):
-                raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
-        self.index: dict[str, int] = dict(zip(self.labels, range(len(self.labels))))
-        self.adj: list[int] = [0] * len(self.labels)
+        # repeated labels keep their first position; the labels are built,
+        # and so checked, at once
+        source = dict.fromkeys(vertices)
+        self.adj: list[int] = [0] * len(source)
+        self._source: Iterable[str] | None = source
+        self._build_labels()
         for a, b in edges:
             self.add_edge(a, b)
 
     @classmethod
     def from_rows(cls, labels: Iterable[str], rows: list[int]) -> "Graph":
-        """The graph on the distinct ``labels`` whose vertex i has the
-        neighbour row ``rows[i]``; the rows must be symmetric and have no
-        vertex's own bit set."""
-        g = cls(labels)
-        if len(rows) != len(g.labels):
-            raise ValueError(f"{len(rows)} rows for {len(g.labels)} distinct labels")
-        g.adj = rows
+        """The graph whose vertex i has the neighbour row ``rows[i]`` and
+        the i-th of the distinct ``labels``; the rows must be symmetric
+        and have no vertex's own bit set.  The labels are read, and
+        checked, when ``labels`` or ``index`` is first read."""
+        g = cls.__new__(cls)
+        g.adj, g._source, g._labels, g._index = rows, labels, None, None
         return g
+
+    def _build_labels(self) -> None:
+        # the source is read once, so that a failed check fails alike again
+        labels = self._source = list(dict.fromkeys(self._source))
+        for v in labels:
+            if not isinstance(v, str):
+                raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
+        if len(labels) != len(self.adj):
+            raise ValueError(f"{len(self.adj)} rows for {len(labels)} distinct labels")
+        self._index = dict(zip(labels, range(len(labels))))
+        self._labels, self._source = labels, None
+
+    @property
+    def labels(self) -> list[str]:
+        if self._labels is None:
+            self._build_labels()
+        return self._labels
+
+    @property
+    def index(self) -> dict[str, int]:
+        if self._index is None:
+            self._build_labels()
+        return self._index
 
     # -- mutation ------------------------------------------------------------
 
     def add_vertex(self, v: str) -> int:
         """Index of vertex v, added first if it is new."""
-        i = self.index.get(v)
+        index = self.index
+        i = index.get(v)
         if i is None:
             if not isinstance(v, str):
                 raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
-            i = self.index[v] = len(self.labels)
-            self.labels.append(v)
+            i = index[v] = len(self.adj)
+            self._labels.append(v)
             self.adj.append(0)
         return i
 
@@ -149,7 +196,7 @@ class Graph:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.labels)
+        return len(self.adj)
 
     @property
     def num_edges(self) -> int:
@@ -181,7 +228,7 @@ class Graph:
 
     def _subgraph(self, part: int) -> "Graph":
         """Induced subgraph on the vertices of the row ``part``, in index order."""
-        everyone = range(len(self.labels))
+        everyone = range(len(self.adj))
         keep = _select(part, everyone)
         new = dict(zip(keep, range(len(keep))))  # old index -> new index
         nbrs = [[new[j] for j in _select(self.adj[i] & part, everyone)] for i in keep]
@@ -199,7 +246,7 @@ class Graph:
 
     def _components(self) -> Iterator[int]:
         """Each connected component as a row, in the order of its lowest vertex."""
-        unseen = (1 << len(self.labels)) - 1
+        unseen = (1 << len(self.adj)) - 1
         while unseen:
             # the component of the lowest vertex not yet in one
             part = self._component((unseen & -unseen).bit_length() - 1)
@@ -221,7 +268,7 @@ class Graph:
         return [(part.bit_count(), sum(_select(part, degrees)) // 2) for part in self._components()]
 
     def is_connected(self) -> bool:
-        return not self.labels or self._component(0) == (1 << len(self.labels)) - 1
+        return not self.adj or self._component(0) == (1 << len(self.adj)) - 1
 
 
 # -- stock constructions -------------------------------------------------------
@@ -259,39 +306,54 @@ class IsoResult:
     nodes_expanded: int
 
 
-def verify_mapping(g: Graph, h: Graph, mapping: Mapping[str, str] | IsoWitness) -> bool:
+def verify_mapping(
+    g: Graph, h: Graph, mapping: Sequence[int] | Mapping[str, str] | IsoWitness
+) -> bool:
     """Check that mapping is a graph isomorphism from g onto h.
 
-    The label mapping becomes one permutation of vertex indices; a
-    bijection is an isomorphism when it carries every vertex's
-    neighbour set exactly onto the neighbour set of its image.  The rows
-    of g are walked in index order, each one's image built as a row of h
-    and compared with the row of the image vertex.  A permutation of
-    bits is linear over XOR, so when a row differs from the previous one
-    in fewer bits than it has, only that difference is mapped and XOR-ed
-    into the previous image; otherwise the whole row is mapped.
+    The mapping is a permutation of vertex indices, vertex i of g going
+    to vertex ``mapping[i]`` of h, or a label map (a dict or an
+    IsoWitness), which is translated to one.  A bijection is an
+    isomorphism when it carries every vertex's neighbour set exactly
+    onto the neighbour set of its image.  The rows of g are walked in
+    index order, each one's image kept as packed little-endian bytes and
+    compared with the row of the image vertex.  A permutation of bits is
+    linear over XOR, so each set bit j of a row's difference with the
+    previous row flips the one byte of the image that holds bit
+    ``mapping[j]``, in place; a row with no more set bits than that
+    difference is walked from an empty image instead.
     """
+    k = g.num_vertices
+    degrees = g.degrees()
+    if h.num_vertices != k or sum(degrees) != sum(h.degrees()):
+        return False
     if isinstance(mapping, IsoWitness):
         mapping = mapping.as_dict()
-    k = g.num_vertices
-    if len(mapping) != k or h.num_vertices != k or g.num_edges != h.num_edges:
-        return False
-    perm = [0] * k
-    for a, b in mapping.items():
-        i, j = g.index.get(a), h.index.get(b)
-        if i is None or j is None:
+    if isinstance(mapping, Mapping):
+        if len(mapping) != k:
             return False
-        perm[i] = j
-    if len(set(perm)) != k:
+        perm = [0] * k
+        for a, b in mapping.items():
+            i, j = g.index.get(a), h.index.get(b)
+            if i is None or j is None:
+                return False
+            perm[i] = j
+    else:
+        perm = list(mapping)
+    # every index once, none negative (it would index h.adj from the end)
+    if len(perm) != k or set(perm) != set(range(k)):
         return False
-    prev = image = 0  # the last row checked and its image
-    for row, target in zip(g.adj, map(h.adj.__getitem__, perm)):
+    size = (k + 7) // 8
+    flips = [(p >> 3, 1 << (p & 7)) for p in perm]  # the byte and bit that bit j maps to
+    image = bytearray(size)
+    prev = 0  # the last row checked
+    for row, degree, target in zip(g.adj, degrees, map(h.adj.__getitem__, perm)):
         diff = row ^ prev
-        if diff.bit_count() < row.bit_count():
-            image ^= _row_of(_select(diff, perm), k)
-        else:
-            image = _row_of(_select(row, perm), k)
-        if image != target:
+        if diff.bit_count() >= degree:
+            image, diff = bytearray(size), row
+        for at, bit in _select(diff, flips):
+            image[at] ^= bit
+        if int.from_bytes(image, "little") != target:
             return False
         prev = row
     return True
@@ -426,7 +488,8 @@ def find_isomorphism(
     expansions yields ``inconclusive`` instead of a wrong verdict.  Ties
     in the search order and among candidates are broken by label, so the
     result does not depend on the order the vertices were added in.  A
-    witness is returned only once verify_mapping accepts it;
+    witness is returned only once verify_mapping accepts it as the index
+    permutation the search found, and is then spelt in labels;
     RuntimeError otherwise.
 
     The search runs on h's rows renumbered in label order, so a color
@@ -511,12 +574,14 @@ def find_isomorphism(
         used |= low
         depth += 1
         if depth == k:
-            witness = IsoWitness.from_dict(
-                {g.labels[v]: h.labels[by_label[p.bit_length() - 1]] for v, p in zip(order, picked)}
-            )
-            if not verify_mapping(g, h, witness):
+            # image[v]: the index in h that v is mapped to
+            image = [0] * k
+            for v, p in zip(order, picked):
+                image[v] = by_label[p.bit_length() - 1]
+            if not verify_mapping(g, h, image):
                 raise RuntimeError("searcher built a witness that is not an isomorphism")
-            return IsoResult("isomorphic", witness, expanded)
+            witness = dict(zip(g.labels, map(h.labels.__getitem__, image)))
+            return IsoResult("isomorphic", IsoWitness.from_dict(witness), expanded)
         target, fit = 0, classes[depth] & ~used
         free[depth] = fit
         for b in back[depth]:

@@ -18,6 +18,22 @@ def is_null(g: Graph) -> bool:
     return g.num_edges == 0
 
 
+def copy_label(v: str, i: int) -> str:
+    """Label of vertex v inside copy i of the shuriken operation."""
+    return f"{v}@{i}"
+
+
+def copy_index(i: int, x: int, width: int) -> int:
+    """Index of vertex x (from 0) of block i (from 1) when every block is
+    ``width`` vertices wide.  Both builders lay their vertices out in
+    such blocks.  In Shu(g, t, n) block i is copy i: g's vertices in g's
+    order, then the hub z, so ``copy_label(v, i)`` is vertex
+    ``g.index[v]`` of block i and ``copy_label("z", i)`` its last.  In
+    Sh(t, n) the blocks 1, 2 and 3 are the rows a, b and c, so a_i is
+    vertex i - 1 of block 1."""
+    return (i - 1) * width + x
+
+
 def build_sh(t: int, n: int) -> Graph:
     """The standalone shuriken graph on vertices a1..an, b1..bn, c1..cn.
 
@@ -34,33 +50,24 @@ def build_sh(t: int, n: int) -> Graph:
     if (n - t) % 2:
         raise ValueError(f"n - t must be even, got t={t} n={n}")
 
-    # a_i, b_i, c_i have the indices i - 1, n + i - 1, 2n + i - 1, and the
-    # 0-based index x mirrors to mirror[x]
+    # a_i, b_i, c_i are vertex i - 1 of the blocks 1, 2, 3, which start at
+    # a0, b0, c0, and the 0-based index x mirrors to mirror[x]
+    a0, b0, c0 = (copy_index(r, 0, n) for r in (1, 2, 3))
     mirror = [x if x < t else n + t - 1 - x for x in range(n)]
-    all_a = (1 << n) - 1
-    all_b = all_a << n
+    one_row = (1 << n) - 1
     rows: list[int] = []
     # an a (b) row: all of b (a), c at the mirror, and a (b) at the mirror above t
-    for own, other in ((0, all_b), (n, all_a)):
+    for own, other in ((a0, b0), (b0, a0)):
         rows += [
-            other | 1 << (2 * n + m) | (1 << (own + m) if x >= t else 0)
+            one_row << other | 1 << (c0 + m) | (1 << (own + m) if x >= t else 0)
             for x, m in enumerate(mirror)
         ]
     # a c row: a and b at the mirror, and c at the mirror above t
     rows += [
-        1 << m | 1 << (n + m) | (1 << (2 * n + m) if x >= t else 0)
+        1 << (a0 + m) | 1 << (b0 + m) | (1 << (c0 + m) if x >= t else 0)
         for x, m in enumerate(mirror)
     ]
     return Graph.from_rows((f"{row}{i}" for row in "abc" for i in range(1, n + 1)), rows)
-
-
-def copy_label(v: str, i: int) -> str:
-    """Label of vertex v inside copy i of the shuriken operation."""
-    return f"{v}@{i}"
-
-
-def hub_label(i: int) -> str:
-    return f"z@{i}"
 
 
 def build_shu(g: Graph, t: int, n: int) -> Graph:
@@ -81,17 +88,16 @@ def build_shu(g: Graph, t: int, n: int) -> Graph:
 
     full = g.labels + ["z"]
     w = len(full)
-    # vertex x of copy i (x = w - 1 the hub) has index (i - 1) * w + x
     one_copy = (1 << w) - 1
     # a row of g repeated in every copy: a w-bit row times a bit every w
     # places is its copies side by side, none overlapping
-    every_copy = sum(1 << (j * w) for j in range(n))
+    every_copy = sum(1 << copy_index(i, 0, w) for i in range(1, n + 1))
     lifted = [row * every_copy for row in g.adj] + [0]
     rows: list[int] = []
     for i in range(1, n + 1):
         # copy i is completed (i <= t) or joined to its mirror copy
         c = i if i <= t else n + t + 1 - i
-        whole = one_copy << ((c - 1) * w)
+        whole = one_copy << copy_index(c, 0, w)
         for x in range(w):
-            rows.append((lifted[x] | whole) & ~(1 << len(rows)))
+            rows.append((lifted[x] | whole) & ~(1 << copy_index(i, x, w)))
     return Graph.from_rows((copy_label(v, i) for i in range(1, n + 1) for v in full), rows)

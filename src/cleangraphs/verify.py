@@ -24,11 +24,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal
 
-from . import _kernels
-from .cleangraph import _ring, cl2, cl2_pairs, closed_form_degrees, idempotent_graph, pair_label
-from .graph import Graph, complete_graph, find_isomorphism, verify_mapping
+from . import _kernels, graph
+from .cleangraph import _ring, cl2, cl2_pairs, closed_form_degrees, idempotent_graph
+from .graph import Graph, complete_graph, find_isomorphism
 from .modring import ModRing
-from .shuriken import build_sh, build_shu, copy_label, hub_label, is_null
+from .shuriken import build_sh, build_shu, copy_index, is_null
 
 # graphs at or under this size also get the generic searcher pass
 SEARCH_GATE = 150
@@ -204,19 +204,21 @@ def _witness_outcome(
     instance: str,
     left: Graph,
     right: Graph,
-    mapping: dict[str, str],
+    witness: list[int],
     evidence: dict,
     onto: str,
     pass_evidence: dict | None = None,
 ) -> _Outcome:
-    """Check the proof's witness mapping from left onto right, then, for
-    graphs under the size gate, cross-check with the searcher.
+    """Check the proof's witness from left onto right, vertex i of left
+    going to vertex ``witness[i]`` of right, then, for graphs under the
+    size gate, cross-check with the searcher.
 
     ``evidence`` goes with every outcome, ``pass_evidence`` only with one
     whose witness holds; ``onto`` names right in a passing detail.  A
     verified witness passes unless the searcher runs and fails to concur.
     """
-    if not verify_mapping(left, right, mapping):
+    # looked up at call time, so that a rebound graph.verify_mapping runs
+    if not graph.verify_mapping(left, right, witness):
         return instance, "fail", "constructed witness is not an isomorphism", evidence
     evidence = {**evidence, **(pass_evidence or {})}
     verified = f"witness onto {onto} verified"
@@ -242,7 +244,9 @@ def verify_pq(n: ModRing | int) -> _Outcome:
 
     Builds the proof's bijection: with units laid out u_1..u_k by the
     unit partition, the pair (e, u_i) goes to a_i, b_i or c_i according
-    to whether e is the first CRT idempotent, the second, or 1.
+    to whether e is the first CRT idempotent, the second, or 1.  It is
+    built on vertex indices: cl2's vertices are ``cl2_pairs`` and Sh's
+    are laid out by ``copy_index``.
     """
     ring = _ring(n)
     if ring.num_primes != 2:
@@ -267,14 +271,13 @@ def verify_pq(n: ModRing | int) -> _Outcome:
     # CRT idempotents: e_a vanishes at the p-coordinate, e_b at the q-coordinate
     e_a = next(e for e in ring.idempotents() if e % p**np_ == 0 and e % q**mq == 1)
     e_b = next(e for e in ring.idempotents() if e % p**np_ == 1 and e % q**mq == 0)
-    mapping = {}
-    for i, u in enumerate(part.ordered_units(), start=1):
-        mapping[pair_label(e_a, u)] = f"a{i}"
-        mapping[pair_label(e_b, u)] = f"b{i}"
-        mapping[pair_label(1, u)] = f"c{i}"
+    # a_i, b_i, c_i are vertex i - 1 of Sh's blocks 1, 2, 3
+    block = {e_a: 1, e_b: 2, 1: 3}
+    position = {u: x for x, u in enumerate(part.ordered_units())}
+    witness = [copy_index(block[e], position[u], k) for e, u in cl2_pairs(ring)]
 
     evidence = {"t": t, "k": k, "vertices": left.num_vertices}
-    return _witness_outcome(instance, left, right, mapping, evidence, f"Sh(t={t}, n={k})")
+    return _witness_outcome(instance, left, right, witness, evidence, f"Sh(t={t}, n={k})")
 
 
 def verify_pq_by_modulus(n: ModRing | int) -> TheoremReport:
@@ -289,7 +292,12 @@ def verify_pq_by_modulus(n: ModRing | int) -> TheoremReport:
 @_timed("master_isomorphism")
 def verify_general(n: ModRing | int) -> _Outcome:
     """cl2(Z_n) against the shuriken operation applied to the idempotent
-    graph, via the proof witness f(e, u_i) = e@i (hub when e = 1)."""
+    graph, via the proof witness f(e, u_i) = e@i (hub when e = 1).
+
+    The witness is built on vertex indices: cl2's vertices are
+    ``cl2_pairs``, the idempotent graph's are the nontrivial idempotents
+    in order, and Shu's copy i, laid out by ``copy_index``, holds those
+    and then the hub."""
     ring = _ring(n)
     instance = f"n={ring.modulus}"
     part = ring.unit_partition()
@@ -298,17 +306,17 @@ def verify_general(n: ModRing | int) -> _Outcome:
     base = idempotent_graph(ring)
     right = build_shu(base, t, k)
 
-    mapping = {}
-    idempotents = ring.nonzero_idempotents()
-    for i, u in enumerate(part.ordered_units(), start=1):
-        for e in idempotents:
-            target = hub_label(i) if e == 1 else copy_label(str(e), i)
-            mapping[pair_label(e, u)] = target
+    base_order = ring.nontrivial_idempotents()
+    width = len(base_order) + 1
+    place = {e: x for x, e in enumerate(base_order)}
+    place[1] = width - 1  # the hub
+    copy = {u: i for i, u in enumerate(part.ordered_units(), start=1)}
+    witness = [copy_index(copy[u], place[e], width) for e, u in cl2_pairs(ring)]
 
     evidence = {"t": t, "k": k, "vertices": left.num_vertices}
     onto = f"Shu(t={t}, n={k}) over the {base.num_vertices}-vertex idempotent graph"
     edges = {"edges": left.num_edges}
-    return _witness_outcome(instance, left, right, mapping, evidence, onto, edges)
+    return _witness_outcome(instance, left, right, witness, evidence, onto, edges)
 
 
 # -- self-inverse unit count ----------------------------------------------------
@@ -421,13 +429,11 @@ def verify_sh_shu_bridge(t: int, n: int) -> _Outcome:
     except ValueError as exc:
         return instance, "rejected", str(exc), {}
     shu = build_shu(complete_graph(2), t, n)
-    mapping = {}
-    for i in range(1, n + 1):
-        mapping[f"a{i}"] = copy_label("v1", i)
-        mapping[f"b{i}"] = copy_label("v2", i)
-        mapping[f"c{i}"] = hub_label(i)
+    # a_i, b_i, c_i (vertex i - 1 of Sh's blocks 1, 2, 3) go to vertex
+    # 0, 1, 2 of Shu's copy i: v1, v2 and the hub
+    witness = [copy_index(i, r - 1, 3) for r in (1, 2, 3) for i in range(1, n + 1)]
     onto = f"Shu(t={t}, n={n}) of a single edge"
-    return _witness_outcome(instance, sh, shu, mapping, {"vertices": sh.num_vertices}, onto)
+    return _witness_outcome(instance, sh, shu, witness, {"vertices": sh.num_vertices}, onto)
 
 
 # -- the per-modulus registry and sweeps ----------------------------------------

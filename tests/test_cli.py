@@ -491,3 +491,7 @@ def test_verify_general_2310_golden_agrees_with_the_degree_law():
 
 def test_verify_general_3570_golden_agrees_with_the_degree_law():
     general_golden_agrees_with_the_degree_law(3570, 23808)
+
+
+def test_verify_general_6006_golden_agrees_with_the_degree_law():
+    general_golden_agrees_with_the_degree_law(6006, 44640)

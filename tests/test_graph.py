@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cleangraphs import graph as graph_module, verify as verify_module
-from cleangraphs.cleangraph import cl2, idempotent_graph
+from cleangraphs.cleangraph import cl1, cl2, cl2_pairs, clean_graph, idempotent_graph, pair_label
 from cleangraphs.graph import (
     DEFAULT_SEARCH_BUDGET,
     EXPORT_FORMATS,
@@ -32,8 +32,8 @@ from cleangraphs.graph import (
     verify_mapping,
 )
 from cleangraphs.modring import factorize
-from cleangraphs.shuriken import build_shu
-from cleangraphs.verify import verify_general
+from cleangraphs.shuriken import build_sh, build_shu, copy_index, copy_label
+from cleangraphs.verify import verify_degree_formula, verify_general
 
 from graph_helpers import (
     circulant_graph,
@@ -102,6 +102,110 @@ def test_equality_ignores_vertex_order():
 @given(small_graphs())
 def test_handshake(g):
     assert sum(len(g.neighbors(v)) for v in g.vertices) == 2 * g.num_edges
+
+
+# -- labels built on first read -------------------------------------------------------
+
+
+def ring_labels(idempotents, units):
+    return [pair_label(e, u) for e in idempotents for u in units]
+
+
+def shu_labels(g: Graph, n: int):
+    return [copy_label(v, i) for i in range(1, n + 1) for v in [*g.vertices, "z"]]
+
+
+# builder -> (the graph, its labels in the documented order)
+LABEL_RECIPES = {
+    "cl2": lambda: (cl2(60), [pair_label(e, u) for e, u in cl2_pairs(60)]),
+    "cl1": lambda: (cl1(60), ring_labels((0,), factorize(60).units())),
+    "clean_graph": lambda: (
+        clean_graph(60),
+        ring_labels(factorize(60).idempotents(), factorize(60).units()),
+    ),
+    "idempotent_graph": lambda: (
+        idempotent_graph(210),
+        [str(e) for e in factorize(210).nontrivial_idempotents()],
+    ),
+    "build_sh": lambda: (build_sh(2, 6), [f"{r}{i}" for r in "abc" for i in range(1, 7)]),
+    "build_shu": lambda: (build_shu(path_graph(3), 2, 4), shu_labels(path_graph(3), 4)),
+    "complete_graph": lambda: (complete_graph(5), [f"v{i}" for i in range(1, 6)]),
+    "parse_edgelist": lambda: (parse_edgelist("e b a\nv c\ne a d\n"), ["b", "a", "c", "d"]),
+}
+
+
+@pytest.mark.parametrize("builder", list(LABEL_RECIPES))
+def test_builders_label_every_vertex_in_the_documented_order(builder):
+    g, want = LABEL_RECIPES[builder]()
+    assert g.labels == want
+    assert len(set(want)) == g.num_vertices == len(g.adj)
+    assert all(type(v) is str for v in want)
+    assert g.index == {v: i for i, v in enumerate(want)}
+
+
+def test_shuriken_layouts_follow_copy_index():
+    base = path_graph(3)
+    shu = build_shu(base, 2, 4)
+    w = base.num_vertices + 1
+    for i in range(1, 5):
+        for x, v in enumerate([*base.vertices, "z"]):
+            assert shu.index[copy_label(v, i)] == copy_index(i, x, w)
+    sh = build_sh(2, 6)
+    for r, row in enumerate("abc", start=1):
+        for i in range(1, 7):
+            assert sh.index[f"{row}{i}"] == copy_index(r, i - 1, 6)
+
+
+@pytest.mark.parametrize(
+    "labels,error,message",
+    [
+        (["a", "a"], ValueError, "2 rows for 1 distinct labels"),
+        (["a"], ValueError, "2 rows for 1 distinct labels"),
+        (["a", 3], TypeError, "vertex labels must be str, got int"),
+    ],
+    ids=["repeated", "short", "not_str"],
+)
+@pytest.mark.parametrize("read", ["labels", "index"])
+def test_from_rows_checks_its_labels_when_they_are_first_read(labels, error, message, read):
+    g = Graph.from_rows(iter(labels), [0b10, 0b01])
+    # the rows serve before any label is read
+    assert (g.num_vertices, g.num_edges, g.degrees()) == (2, 1, [1, 1])
+    # a one-shot source fails alike when read again
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            getattr(g, read)
+
+
+def test_add_vertex_builds_the_labels_first():
+    g = complete_graph(2)
+    assert g.add_vertex("v3") == 2
+    assert g.add_vertex("v1") == 0
+    assert g.labels == ["v1", "v2", "v3"]
+    with pytest.raises(TypeError):
+        Graph.from_rows(["a", 3], [0, 0]).add_vertex("b")
+
+
+def count_label_builds(monkeypatch) -> list[int]:
+    """The vertex counts of the graphs whose labels get built from now on."""
+    built: list[int] = []
+    real = Graph._build_labels
+
+    def counting(g):
+        built.append(len(g.adj))
+        real(g)
+
+    monkeypatch.setattr(Graph, "_build_labels", counting)
+    return built
+
+
+def test_checks_build_no_labels_they_do_not_read(monkeypatch):
+    built = count_label_builds(monkeypatch)
+    assert verify_degree_formula(60).ok
+    assert built == []
+    # above the searcher's size gate the witness is checked on indices, so
+    # only Shu's input, the 14-vertex idempotent graph, is ever labelled
+    assert verify_general(210).ok
+    assert built == [14]
 
 
 # -- bitset rows against their literal reading ---------------------------------------
@@ -345,6 +449,24 @@ def test_insertion_order_does_not_reach_the_searcher(g, rng):
     rng.shuffle(names)
     h = relabel(g, dict(zip(g.vertices, names)))
     assert find_isomorphism(same, h) == find_isomorphism(g, h)
+
+
+def test_verify_mapping_rejects_bad_permutations():
+    g = path_graph(3)
+    h = path_graph(3)
+    assert verify_mapping(g, h, [0, 1, 2])
+    assert verify_mapping(g, h, (2, 1, 0))
+    assert not verify_mapping(g, h, [1, 0, 2])  # the middle vertex onto an end
+    assert not verify_mapping(g, h, [0, 1])
+    assert not verify_mapping(g, h, [0, 1, 2, 0])
+    assert not verify_mapping(g, h, [0, 0, 2])
+    assert not verify_mapping(g, h, [0, 1, 3])
+    assert not verify_mapping(g, h, [0, -2, 2])
+    # with 8 vertices, -8 read from the end is vertex 0, both among h's
+    # rows and in the image's one byte: taken so, this is the identity
+    p8 = path_graph(8)
+    assert verify_mapping(p8, p8, range(8))
+    assert not verify_mapping(p8, p8, [-8, *range(1, 8)])
 
 
 def test_verify_mapping_rejects_bad_maps():
@@ -731,6 +853,11 @@ def toggled(h: Graph, *pairs) -> Graph:
     return Graph(h.vertices, edges)
 
 
+def as_permutation(g: Graph, h: Graph, mapping) -> list[int]:
+    """The label map as vertex indices: vertex i of g goes to entry i."""
+    return [h.index[mapping[v]] for v in g.labels]
+
+
 @given(relabellings())
 @settings(max_examples=300, deadline=None)
 def test_verify_mapping_agrees_with_its_literal_form(case):
@@ -746,20 +873,23 @@ def test_verify_mapping_agrees_with_its_literal_form(case):
         (h, clash),
     ]
     for target, m in checks:
-        assert verify_mapping(g, target, m) == literal_verify_mapping(g, target, m)
+        want = literal_verify_mapping(g, target, m)
+        assert verify_mapping(g, target, m) == want
+        assert verify_mapping(g, target, as_permutation(g, target, m)) == want
     assert verify_mapping(g, h, mapping)
     assert not verify_mapping(g, toggled(h, one), mapping)
     assert not verify_mapping(g, h, clash)
 
 
 def general_witness(n: int, monkeypatch) -> tuple[Graph, Graph, dict[str, str]]:
-    """cl2(n), the Shu graph and the witness that verify_general checks."""
+    """cl2(n), the Shu graph and the witness that verify_general checks,
+    translated from the index permutation it is built as to labels."""
     seen = []
-    monkeypatch.setattr(verify_module, "verify_mapping", lambda *args: seen.append(args))
+    monkeypatch.setattr(graph_module, "verify_mapping", lambda *args: seen.append(args))
     verify_general(n)
     monkeypatch.undo()
-    ((g, h, mapping),) = seen
-    return g, h, mapping
+    ((g, h, perm),) = seen
+    return g, h, {g.labels[i]: h.labels[j] for i, j in enumerate(perm)}
 
 
 @pytest.mark.parametrize("n", [30, 60, 210, 380])
@@ -786,6 +916,7 @@ def test_verify_mapping_on_general_witnesses(n, monkeypatch):
     la, lb = g.labels[a], g.labels[b]
     swapped = {**mapping, la: mapping[lb], lb: mapping[la]}
     assert not verify_mapping(g, h, swapped)
+    assert not verify_mapping(g, h, as_permutation(g, h, swapped))
     assert not literal_verify_mapping(g, h, swapped)
 
 
