@@ -6,7 +6,7 @@ that relate them (degree law, prime-power decomposition, the shuriken
 isomorphisms) by constructive witness plus independent search.
 """
 
-from .graph import Graph, IsoResult, IsoWitness, find_isomorphism, verify_mapping
+from .graph import Graph, IsoResult, find_isomorphism, verify_mapping
 from .modring import ModRing, UnitPartition, factorize
 from .cleangraph import cl1, cl2, clean_graph, idempotent_graph
 from .shuriken import build_sh, build_shu, is_null
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "IsoResult",
-    "IsoWitness",
     "ModRing",
     "UnitPartition",
     "TheoremReport",

@@ -3,11 +3,11 @@ deterministic export.
 
 Vertices are the indices 0..V-1 in insertion order, and every algorithm
 works on them.  String labels appear only at the boundary: the
-label-taking methods, the witnesses the searcher returns, export and
-parsing.  A builder hands ``Graph.from_rows`` a label source, and the
-labels and their index are built when first read, so a graph that is
-only checked never makes them.  ``verify_mapping`` takes a witness as a
-permutation of indices, and translates a label map to one.
+label-taking methods, export and parsing.  A builder hands
+``Graph.from_rows`` a label source, and the labels and their index are
+built when first read, so a graph that is only checked never makes them.
+A witness is a permutation of indices, in the one form that
+``find_isomorphism`` returns and ``verify_mapping`` takes.
 Each vertex's neighbours are one int, a bitset with bit j set when
 vertex j is a neighbour: degrees are bit counts, and a row is built or
 compared whole instead of an entry at a time.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Literal, Sequence, TypeVar
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -286,60 +286,34 @@ def complete_graph(k: int) -> Graph:
 
 
 @dataclass(frozen=True)
-class IsoWitness:
-    """Vertex bijection presented as sorted (source, target) pairs."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, str]) -> "IsoWitness":
-        return cls(tuple(sorted(mapping.items())))
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-
-@dataclass(frozen=True)
 class IsoResult:
+    """A verdict, the node count, and for an isomorphic pair the witness:
+    entry i is the index in h of g's vertex i (``()`` for two empty
+    graphs); None for any other verdict."""
+
     status: Literal["isomorphic", "not_isomorphic", "inconclusive"]
-    witness: IsoWitness | None
+    witness: tuple[int, ...] | None
     nodes_expanded: int
 
 
-def verify_mapping(
-    g: Graph, h: Graph, mapping: Sequence[int] | Mapping[str, str] | IsoWitness
-) -> bool:
-    """Check that mapping is a graph isomorphism from g onto h.
+def verify_mapping(g: Graph, h: Graph, perm: Sequence[int]) -> bool:
+    """Check that perm, vertex i of g going to vertex ``perm[i]`` of h,
+    is a graph isomorphism from g onto h.
 
-    The mapping is a permutation of vertex indices, vertex i of g going
-    to vertex ``mapping[i]`` of h, or a label map (a dict or an
-    IsoWitness), which is translated to one.  A bijection is an
-    isomorphism when it carries every vertex's neighbour set exactly
-    onto the neighbour set of its image.  The rows of g are walked in
-    index order, each one's image kept as packed little-endian bytes and
+    A bijection is an isomorphism when it carries every vertex's
+    neighbour set exactly onto the neighbour set of its image, which
+    also makes the edge counts equal.  The rows of g are walked in index
+    order, each one's image kept as packed little-endian bytes and
     compared with the row of the image vertex.  A permutation of bits is
     linear over XOR, so each set bit j of a row's difference with the
     previous row flips the one byte of the image that holds bit
-    ``mapping[j]``, in place; a row with no more set bits than that
+    ``perm[j]``, in place; a row with no more set bits than that
     difference is walked from an empty image instead.
     """
     k = g.num_vertices
-    degrees = g.degrees()
-    if h.num_vertices != k or sum(degrees) != sum(h.degrees()):
+    if h.num_vertices != k:
         return False
-    if isinstance(mapping, IsoWitness):
-        mapping = mapping.as_dict()
-    if isinstance(mapping, Mapping):
-        if len(mapping) != k:
-            return False
-        perm = [0] * k
-        for a, b in mapping.items():
-            i, j = g.index.get(a), h.index.get(b)
-            if i is None or j is None:
-                return False
-            perm[i] = j
-    else:
-        perm = list(mapping)
+    perm = list(perm)
     # every index once, none negative (it would index h.adj from the end)
     if len(perm) != k or set(perm) != set(range(k)):
         return False
@@ -347,9 +321,9 @@ def verify_mapping(
     flips = [(p >> 3, 1 << (p & 7)) for p in perm]  # the byte and bit that bit j maps to
     image = bytearray(size)
     prev = 0  # the last row checked
-    for row, degree, target in zip(g.adj, degrees, map(h.adj.__getitem__, perm)):
+    for row, target in zip(g.adj, map(h.adj.__getitem__, perm)):
         diff = row ^ prev
-        if diff.bit_count() >= degree:
+        if diff.bit_count() >= row.bit_count():
             image, diff = bytearray(size), row
         for at, bit in _select(diff, flips):
             image[at] ^= bit
@@ -488,8 +462,7 @@ def find_isomorphism(
     expansions yields ``inconclusive`` instead of a wrong verdict.  Ties
     in the search order and among candidates are broken by label, so the
     result does not depend on the order the vertices were added in.  A
-    witness is returned only once verify_mapping accepts it as the index
-    permutation the search found, and is then spelt in labels;
+    witness is returned only once verify_mapping accepts it;
     RuntimeError otherwise.
 
     The search runs on h's rows renumbered in label order, so a color
@@ -506,7 +479,7 @@ def find_isomorphism(
     if refined is None:
         return IsoResult("not_isomorphic", None, 0)
     if g.num_vertices == 0:
-        return IsoResult("isomorphic", IsoWitness(()), 0)
+        return IsoResult("isomorphic", (), 0)
     cg, ch = refined
 
     order = _search_order(g, cg)
@@ -580,8 +553,7 @@ def find_isomorphism(
                 image[v] = by_label[p.bit_length() - 1]
             if not verify_mapping(g, h, image):
                 raise RuntimeError("searcher built a witness that is not an isomorphism")
-            witness = dict(zip(g.labels, map(h.labels.__getitem__, image)))
-            return IsoResult("isomorphic", IsoWitness.from_dict(witness), expanded)
+            return IsoResult("isomorphic", tuple(image), expanded)
         target, fit = 0, classes[depth] & ~used
         free[depth] = fit
         for b in back[depth]:

@@ -1,7 +1,7 @@
 """Graphs the tests build but the package does not need: paths, empty
 graphs, circulants, ladders, seeded random connected graphs, disjoint
 unions, relabellings, induced subgraphs and one graph of each
-isomorphism type.
+isomorphism type; and a witness spelt in labels.
 
 Every helper builds through ``Graph(labels, edges)`` and reads only
 ``vertices`` and ``edges()``, so it holds whatever the adjacency store.
@@ -47,6 +47,13 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
 def relabel(g: Graph, mapping: Mapping[str, str]) -> Graph:
     """g with each vertex v renamed ``mapping[v]``, in the same order."""
     return Graph([mapping[v] for v in g.vertices], [(mapping[a], mapping[b]) for a, b in g.edges()])
+
+
+def spelt(g: Graph, h: Graph, perm) -> tuple[tuple[str, str], ...]:
+    """The witness perm, vertex i of g onto vertex ``perm[i]`` of h, as
+    sorted (g label, h label) pairs."""
+    names = h.vertices
+    return tuple(sorted(zip(g.vertices, [names[j] for j in perm])))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:

@@ -19,7 +19,6 @@ from cleangraphs.graph import (
     EXPORT_FORMATS,
     Graph,
     IsoResult,
-    IsoWitness,
     _joint_refinement,
     _renumbered,
     _row_of,
@@ -44,6 +43,7 @@ from graph_helpers import (
     path_graph,
     random_connected_graph,
     relabel,
+    spelt,
 )
 
 
@@ -340,7 +340,7 @@ def test_searcher_rejects_on_invariants_without_search(g, h, monkeypatch):
 
 
 def test_searcher_maps_two_empty_graphs_without_search():
-    assert find_isomorphism(Graph(), Graph()) == IsoResult("isomorphic", IsoWitness(()), 0)
+    assert find_isomorphism(Graph(), Graph()) == IsoResult("isomorphic", (), 0)
 
 
 def test_find_isomorphism_budget_exhaustion():
@@ -398,14 +398,14 @@ def test_searcher_result_is_pinned_on_shuffled_labels():
     g, h = _truncated_tetrahedra()
     res = find_isomorphism(g, h)
     assert res.nodes_expanded == 43
-    assert res.witness.pairs == (
+    assert spelt(g, h, res.witness) == (
         ("v1", "v1"), ("v10", "v8"), ("v11", "v3"), ("v12", "v5"), ("v2", "v12"),
         ("v3", "v7"), ("v4", "v9"), ("v5", "v4"), ("v6", "v11"), ("v7", "v10"),
         ("v8", "v2"), ("v9", "v6"),
     )
     res = find_isomorphism(h, g)
     assert res.nodes_expanded == 48
-    assert res.witness.pairs == (
+    assert spelt(h, g, res.witness) == (
         ("v1", "v1"), ("v10", "v7"), ("v11", "v6"), ("v12", "v2"), ("v2", "v8"),
         ("v3", "v11"), ("v4", "v5"), ("v5", "v12"), ("v6", "v9"), ("v7", "v3"),
         ("v8", "v10"), ("v9", "v4"),
@@ -422,11 +422,12 @@ def _master_pair(n: int) -> tuple[Graph, Graph]:
 def test_searcher_result_is_pinned_on_pair_labels():
     # cl2(Z_22) stores "(1,3)" before "(1,13)" but sorts it after; the
     # witness sends (e, u) to copy[u] of the idempotent e (hub for e = 1)
-    res = find_isomorphism(*_master_pair(22))
+    g, h = _master_pair(22)
+    res = find_isomorphism(g, h)
     assert res.nodes_expanded == 73
     copy = {1: 1, 3: 9, 5: 6, 7: 8, 9: 7, 13: 10, 15: 4, 17: 3, 19: 5, 21: 2}
     images = {1: "z", 11: "11", 12: "12"}
-    assert res.witness.pairs == tuple(
+    assert spelt(g, h, res.witness) == tuple(
         sorted((f"({e},{u})", f"{images[e]}@{i}") for e in images for u, i in copy.items())
     )
 
@@ -448,7 +449,11 @@ def test_insertion_order_does_not_reach_the_searcher(g, rng):
     names = [f"w{i}" for i in range(g.num_vertices)]
     rng.shuffle(names)
     h = relabel(g, dict(zip(g.vertices, names)))
-    assert find_isomorphism(same, h) == find_isomorphism(g, h)
+    # the witnesses differ as indices, since the vertices of same are
+    # stored in another order, but not in labels
+    assert spelt_result(same, h, find_isomorphism(same, h)) == spelt_result(
+        g, h, find_isomorphism(g, h)
+    )
 
 
 def test_verify_mapping_rejects_bad_permutations():
@@ -470,20 +475,11 @@ def test_verify_mapping_rejects_bad_permutations():
 
 
 def test_verify_mapping_rejects_bad_maps():
-    g = path_graph(3)
-    h = path_graph(3)
-    assert verify_mapping(g, h, {"v1": "v1", "v2": "v2", "v3": "v3"})
-    # middle vertex sent to an endpoint
-    assert not verify_mapping(g, h, {"v1": "v2", "v2": "v1", "v3": "v3"})
-    assert not verify_mapping(g, h, {"v1": "v1", "v2": "v2"})
-    assert not verify_mapping(g, h, {"v1": "v1", "v2": "v1", "v3": "v3"})
-    assert not verify_mapping(g, complete_graph(3), {"v1": "v1", "v2": "v2", "v3": "v3"})
-
-
-def test_witness_round_trip():
-    w = IsoWitness.from_dict({"b": "y", "a": "x"})
-    assert w.pairs == (("a", "x"), ("b", "y"))
-    assert w.as_dict() == {"a": "x", "b": "y"}
+    # with no degree-sum check first, the row walk refuses a map onto a
+    # graph with more edges: vertex 0's row already differs
+    assert not verify_mapping(path_graph(3), complete_graph(3), [0, 1, 2])
+    # every row matches, but one vertex of h is left out
+    assert not verify_mapping(empty_graph(2), empty_graph(3), [0, 1])
 
 
 # -- the searcher against its literal form --------------------------------------------
@@ -493,7 +489,8 @@ def test_witness_round_trip():
 # they were before they read class masks and buckets, kept verbatim so
 # that the fast versions can be held to them: same partition, same order,
 # same verdict, same witness, same node count, also when the budget cuts
-# the search.
+# the search.  The literal searcher holds its witness as sorted label
+# pairs, and the fast one's is compared with it through ``spelt``.
 
 
 def literal_joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
@@ -566,14 +563,14 @@ def literal_find_isomorphism(
     expansions yields ``inconclusive`` instead of a wrong verdict.  Ties
     in the search order and among candidates are broken by label, so the
     result does not depend on the order the vertices were added in.  A
-    witness is returned only once verify_mapping accepts it;
-    RuntimeError otherwise.
+    witness, as sorted (g label, h label) pairs, is returned only once
+    verify_mapping accepts it; RuntimeError otherwise.
     """
     refined = literal_joint_refinement(g, h)
     if refined is None:
         return IsoResult("not_isomorphic", None, 0)
     if g.num_vertices == 0:
-        return IsoResult("isomorphic", IsoWitness(()), 0)
+        return IsoResult("isomorphic", (), 0)
     cg, ch = refined
 
     order = literal_search_order(g, cg)
@@ -617,8 +614,8 @@ def literal_find_isomorphism(
             used |= 1 << cand
             depth += 1
             if depth == k:
-                witness = IsoWitness.from_dict({g.labels[v]: h.labels[image[v]] for v in range(k)})
-                if not verify_mapping(g, h, witness):
+                witness = tuple(sorted((g.labels[v], h.labels[image[v]]) for v in range(k)))
+                if not verify_mapping(g, h, as_permutation(g, h, dict(witness))):
                     raise RuntimeError("searcher built a witness that is not an isomorphism")
                 return IsoResult("isomorphic", witness, expanded)
             cand_iters.append(iter(by_color.get(cg[order[depth]], [])))
@@ -634,13 +631,21 @@ def literal_find_isomorphism(
 
 
 
+def spelt_result(g: Graph, h: Graph, res: IsoResult) -> IsoResult:
+    """res with its witness, if it has one, spelt as sorted label pairs."""
+    if res.witness is None:
+        return res
+    return IsoResult(res.status, spelt(g, h, res.witness), res.nodes_expanded)
+
+
 def assert_searcher_matches_literal(g: Graph, h: Graph) -> None:
     full = literal_find_isomorphism(g, h)
-    assert find_isomorphism(g, h) == full
+    assert spelt_result(g, h, find_isomorphism(g, h)) == full
     nodes = full.nodes_expanded
     # a negative budget cuts at the first node, as a zero one does
     for budget in (-1, 0, 1, nodes - 1, nodes):
-        assert find_isomorphism(g, h, budget) == literal_find_isomorphism(g, h, budget)
+        got = find_isomorphism(g, h, budget)
+        assert spelt_result(g, h, got) == literal_find_isomorphism(g, h, budget)
 
 
 def shuffled(g: Graph, rng: random.Random) -> Graph:
@@ -706,7 +711,18 @@ searcher_pairs = st.one_of(relabelled_pairs(), toggled_pairs(), regular_pairs(),
 @given(searcher_pairs)
 @settings(max_examples=200, deadline=None)
 def test_searcher_matches_its_literal_form(pair):
-    assert_searcher_matches_literal(*pair)
+    g, h = pair
+    assert_searcher_matches_literal(g, h)
+    # only an isomorphic result has a witness, an index permutation that
+    # the check accepts; a budget of 0 makes most results inconclusive
+    for budget in (0, DEFAULT_SEARCH_BUDGET):
+        res = find_isomorphism(g, h, budget)
+        if res.status == "isomorphic":
+            assert type(res.witness) is tuple
+            assert sorted(res.witness) == list(range(g.num_vertices))
+            assert verify_mapping(g, h, res.witness)
+        else:
+            assert res.witness is None
 
 
 def joint_classes(refined):
@@ -804,9 +820,7 @@ def test_front_end_inputs_take_both_round_forms():
 # the previous row, kept verbatim so that the fast version can be held to it.
 
 
-def literal_verify_mapping(g: Graph, h: Graph, mapping) -> bool:
-    if isinstance(mapping, IsoWitness):
-        mapping = mapping.as_dict()
+def literal_verify_mapping(g: Graph, h: Graph, mapping: dict[str, str]) -> bool:
     k = g.num_vertices
     if len(mapping) != k or h.num_vertices != k or g.num_edges != h.num_edges:
         return False
@@ -853,7 +867,7 @@ def toggled(h: Graph, *pairs) -> Graph:
     return Graph(h.vertices, edges)
 
 
-def as_permutation(g: Graph, h: Graph, mapping) -> list[int]:
+def as_permutation(g: Graph, h: Graph, mapping: dict[str, str]) -> list[int]:
     """The label map as vertex indices: vertex i of g goes to entry i."""
     return [h.index[mapping[v]] for v in g.labels]
 
@@ -874,29 +888,27 @@ def test_verify_mapping_agrees_with_its_literal_form(case):
     ]
     for target, m in checks:
         want = literal_verify_mapping(g, target, m)
-        assert verify_mapping(g, target, m) == want
         assert verify_mapping(g, target, as_permutation(g, target, m)) == want
-    assert verify_mapping(g, h, mapping)
-    assert not verify_mapping(g, toggled(h, one), mapping)
-    assert not verify_mapping(g, h, clash)
+    assert verify_mapping(g, h, as_permutation(g, h, mapping))
+    assert not verify_mapping(g, toggled(h, one), as_permutation(g, h, mapping))
+    assert not verify_mapping(g, h, as_permutation(g, h, clash))
 
 
-def general_witness(n: int, monkeypatch) -> tuple[Graph, Graph, dict[str, str]]:
-    """cl2(n), the Shu graph and the witness that verify_general checks,
-    translated from the index permutation it is built as to labels."""
+def general_witness(n: int, monkeypatch) -> tuple[Graph, Graph, list[int]]:
+    """cl2(n), the Shu graph and the witness that verify_general checks."""
     seen = []
     monkeypatch.setattr(graph_module, "verify_mapping", lambda *args: seen.append(args))
     verify_general(n)
     monkeypatch.undo()
     ((g, h, perm),) = seen
-    return g, h, {g.labels[i]: h.labels[j] for i, j in enumerate(perm)}
+    return g, h, perm
 
 
 @pytest.mark.parametrize("n", [30, 60, 210, 380])
 def test_verify_mapping_on_general_witnesses(n, monkeypatch):
-    g, h, mapping = general_witness(n, monkeypatch)
-    assert verify_mapping(g, h, mapping)
-    assert literal_verify_mapping(g, h, mapping)
+    g, h, perm = general_witness(n, monkeypatch)
+    assert verify_mapping(g, h, perm)
+    assert literal_verify_mapping(g, h, dict(spelt(g, h, perm)))
     # unless a and b are twins, swapping their targets spoils the rows of
     # a, b and of every vertex adjacent to one of them only, so the first
     # spoiled row is the lowest bit of spoiled(a, b); among the first
@@ -913,17 +925,16 @@ def test_verify_mapping_on_general_witnesses(n, monkeypatch):
 
     a, b = max(combinations(starts, 2), key=lambda ab: first(spoiled(*ab)))
     assert first(spoiled(a, b)) >= g.num_vertices // 4
-    la, lb = g.labels[a], g.labels[b]
-    swapped = {**mapping, la: mapping[lb], lb: mapping[la]}
+    swapped = list(perm)
+    swapped[a], swapped[b] = perm[b], perm[a]
     assert not verify_mapping(g, h, swapped)
-    assert not verify_mapping(g, h, as_permutation(g, h, swapped))
-    assert not literal_verify_mapping(g, h, swapped)
+    assert not literal_verify_mapping(g, h, dict(spelt(g, h, swapped)))
 
 
 def test_verify_mapping_maps_row_differences(monkeypatch):
     # consecutive rows of cl2(380) mostly differ in one column, so the
     # check maps a small share of the bits it would map row by row
-    g, h, mapping = general_witness(380, monkeypatch)
+    g, h, perm = general_witness(380, monkeypatch)
     mapped = []
 
     def counting(row, values):
@@ -931,7 +942,7 @@ def test_verify_mapping_maps_row_differences(monkeypatch):
         return _select(row, values)
 
     monkeypatch.setattr(graph_module, "_select", counting)
-    assert verify_mapping(g, h, mapping)
+    assert verify_mapping(g, h, perm)
     assert sum(mapped) * 10 < 2 * g.num_edges
 
 
