@@ -183,6 +183,9 @@ class Graph:
 
     def link(self, i: int, j: int) -> None:
         """Add the edge between the vertices with indices i and j."""
+        for v in (i, j):
+            if not 0 <= v < len(self.adj):
+                raise IndexError(f"vertex index {v} out of range")
         if i == j:
             raise ValueError(f"self-loop at {self.labels[i]!r} not allowed")
         self.adj[i] |= 1 << j
@@ -468,12 +471,13 @@ def find_isomorphism(
     The search runs on h's rows renumbered in label order, so a color
     class is one row whose ascending bits are its candidates in label
     order.  At each depth the free members of the class are AND-ed with
-    the rows of the images of the vertex's mapped neighbours: a member
-    outside one of them cannot match the mapped prefix.  Each survivor
-    still gets the exact prefix test.  Every free member counts as one
-    node, tested or filtered out, so the free members passed over on the
-    way to a candidate, and those left when a depth is exhausted, are
-    counted by one bit count each.
+    the rows of the images of the vertex's mapped neighbours; each loop
+    turn takes one survivor.  Its exact prefix test is a bit count: rows
+    are symmetric, so its row holds each of those distinct images, and
+    it meets the used ranks in them alone (edges and non-edges both
+    match) when it meets exactly as many.  Every free member is a node,
+    tested or filtered out, added by one bit count when its depth places
+    a vertex or is exhausted, where the budget is checked.
     """
     refined = _joint_refinement(g, h)
     if refined is None:
@@ -504,63 +508,58 @@ def find_isomorphism(
 
     # a negative budget stops at the first node, as a zero one does
     budget = max(budget, 0)
+    need = list(map(len, back))
     # per depth d: picked[d], the rank order[d] is mapped to as a one-bit
     # row, and picked_rows[d], its row; free[d], the members of classes[d]
-    # neither used nor yet passed over, and cands[d], those of them in
-    # the row of every target; targets[d], the images of back[d]
+    # neither used nor yet counted, and cands[d], those of them in
+    # picked_rows[b] for every b in back[d]; the current depth's are held
+    # in rest, left and count (need[d])
     picked, picked_rows = [0] * k, [0] * k
-    free, cands, targets = [0] * k, [0] * k, [0] * k
-    free[0] = cands[0] = classes[0]
+    free, cands = [0] * k, [0] * k
+    rest = left = classes[0]
+    count = 0
     used = 0  # the ranks mapped onto so far, as a row
     depth = 0
     expanded = 0
 
-    while depth >= 0:
-        left, rest, target = cands[depth], free[depth], targets[depth]
-        while left:
+    while True:
+        if left:
             low = left & -left
             left ^= low
-            # every free member up to the candidate is one node
+            row = rows[low.bit_length() - 1]
+            # the exact prefix test (see the docstring)
+            if (row & used).bit_count() != count:
+                continue
+            # every free member up to the placed candidate is one node
             passed = rest & (low << 1) - 1
             rest ^= passed
             expanded += passed.bit_count()
             if expanded > budget:
                 return IsoResult("inconclusive", None, budget + 1)
-            row = rows[low.bit_length() - 1]
-            # exact consistency with the mapped prefix: the mapped vertices
-            # adjacent to the candidate are exactly the images of the
-            # current vertex's mapped neighbours, so edges and non-edges
-            # both match
-            if row & used == target:
-                break
+            cands[depth], free[depth] = left, rest
+            picked[depth], picked_rows[depth] = low, row
+            used |= low
+            depth += 1
+            if depth == k:
+                # image[v]: the index in h that v is mapped to
+                image = [by_label[picked[d].bit_length() - 1] for d in depth_of]
+                if not verify_mapping(g, h, image):
+                    raise RuntimeError("searcher built a witness that is not an isomorphism")
+                return IsoResult("isomorphic", tuple(image), expanded)
+            rest = left = classes[depth] & ~used
+            for b in back[depth]:
+                left &= picked_rows[b]
+            count = need[depth]
         else:
             # the free members after the last candidate are nodes too
             expanded += rest.bit_count()
             if expanded > budget:
                 return IsoResult("inconclusive", None, budget + 1)
             depth -= 1
-            if depth >= 0:
-                used ^= picked[depth]
-            continue
-        cands[depth], free[depth] = left, rest
-        picked[depth], picked_rows[depth] = low, row
-        used |= low
-        depth += 1
-        if depth == k:
-            # image[v]: the index in h that v is mapped to
-            image = [0] * k
-            for v, p in zip(order, picked):
-                image[v] = by_label[p.bit_length() - 1]
-            if not verify_mapping(g, h, image):
-                raise RuntimeError("searcher built a witness that is not an isomorphism")
-            return IsoResult("isomorphic", tuple(image), expanded)
-        target, fit = 0, classes[depth] & ~used
-        free[depth] = fit
-        for b in back[depth]:
-            target |= picked[b]
-            fit &= picked_rows[b]
-        cands[depth], targets[depth] = fit, target
-    return IsoResult("not_isomorphic", None, expanded)
+            if depth < 0:
+                return IsoResult("not_isomorphic", None, expanded)
+            used ^= picked[depth]
+            left, rest, count = cands[depth], free[depth], need[depth]
 
 
 # -- serialization -----------------------------------------------------------
@@ -667,19 +666,17 @@ def parse_edgelist(text: str) -> Graph:
     """Inverse of export(..., "edgelist"); comments and blanks ignored.
 
     Vertices referenced only by ``e`` lines are added implicitly, so
-    plain two-column edge files load too.  The common ``e a b`` line is
-    tested first, and a run of lines sharing their first label looks
-    that label up once.  Each vertex's neighbour indices are collected
-    in a list and its row is built from them once, at the end.
+    plain two-column edge files load too.  The common ``e a b`` line, a
+    and b distinct, is tested first, and a run of lines sharing their
+    first label looks that label up once.  Each vertex's neighbour
+    indices are collected and its row is built from them once, at the end.
     """
     index: dict[str, int] = {}  # label -> index, in the order first seen
     nbrs: list[list[int]] = []  # nbrs[i]: the indices read as i's neighbours
     last, i, mine = None, 0, []
     for fields in map(str.split, text.splitlines()):
-        if len(fields) == 3 and fields[0] == "e":
+        if len(fields) == 3 and fields[0] == "e" and fields[1] != fields[2]:
             _, a, b = fields
-            if a == b:
-                raise ValueError(f"self-loop at {a!r} not allowed")
             if a != last:
                 i = index.get(a)
                 if i is None:
@@ -701,7 +698,9 @@ def parse_edgelist(text: str) -> Graph:
         else:
             # how a line is read depends on its fields alone, so the first
             # line with these fields is the one that failed
-            for ln, raw in enumerate(text.splitlines(), start=1):
-                if raw.split() == fields:
-                    raise ValueError(f"line {ln}: cannot parse {raw!r}")
+            lines = enumerate(text.splitlines(), start=1)
+            ln, raw = next((ln, raw) for ln, raw in lines if raw.split() == fields)
+            if fields[0] == "e" and len(fields) == 3:
+                raise ValueError(f"line {ln}: self-loop at {fields[1]!r} not allowed")
+            raise ValueError(f"line {ln}: cannot parse {raw!r}")
     return Graph.from_rows(index, [_row_of(js, len(nbrs)) for js in nbrs])

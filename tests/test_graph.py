@@ -79,6 +79,18 @@ def test_rejects_self_loop():
         Graph([], [("x", "x")])
 
 
+@pytest.mark.parametrize("i, j, bad", [(0, 5, 5), (5, 0, 5), (-3, 0, -3), (-1, 0, -1), (0, -1, -1)])
+def test_refused_link_leaves_the_rows_unchanged(i, j, bad):
+    g = Graph(["a", "b", "c"], [("a", "b")])
+    with pytest.raises(IndexError, match=f"^vertex index {bad} out of range$"):
+        g.link(i, j)
+    assert g.adj == [0b010, 0b001, 0]
+    assert g.degrees() == [1, 1, 0] and g.num_edges == 1
+    with pytest.raises(ValueError, match="^self-loop at 'c' not allowed$"):
+        g.link(2, 2)
+    assert g.adj == [0b010, 0b001, 0]
+
+
 def test_rejects_non_string_labels():
     with pytest.raises(TypeError):
         Graph([3])
@@ -430,6 +442,10 @@ def test_searcher_result_is_pinned_on_pair_labels():
     assert spelt(g, h, res.witness) == tuple(
         sorted((f"({e},{u})", f"{images[e]}@{i}") for e in images for u, i in copy.items())
     )
+    # the budget is checked when a depth places a vertex or is exhausted;
+    # a search cut one node short still reports the first node past it
+    assert find_isomorphism(g, h, budget=72) == IsoResult("inconclusive", None, 73)
+    assert find_isomorphism(g, h, budget=73) == res
 
 
 def test_searcher_work_is_pinned_on_the_ladder_shuriken_pair():
@@ -438,6 +454,9 @@ def test_searcher_work_is_pinned_on_the_ladder_shuriken_pair():
     left = build_shu(ladder_graph(4, "a", False), 2, 4)
     right = build_shu(ladder_graph(4, "b", True), 2, 4)
     assert find_isomorphism(left, right) == IsoResult("not_isomorphic", None, 170132)
+    # the last depth to be exhausted takes the count past a budget one short
+    assert find_isomorphism(left, right, 170131) == IsoResult("inconclusive", None, 170132)
+    assert find_isomorphism(left, right, 170132) == IsoResult("not_isomorphic", None, 170132)
 
 
 @given(small_graphs(), st.randoms(use_true_random=False))
@@ -1004,8 +1023,10 @@ def test_parse_edgelist_handles_comments_and_implicit_vertices():
 
 
 def test_parse_edgelist_errors_name_the_fault():
-    with pytest.raises(ValueError, match=r"^self-loop at 'a' not allowed$"):
+    with pytest.raises(ValueError, match=r"^line 2: self-loop at 'a' not allowed$"):
         parse_edgelist("v a\ne a a\n")
+    with pytest.raises(ValueError, match=r"^line 3: self-loop at 'a' not allowed$"):
+        parse_edgelist("# e a a\ne a b\n  e  a\ta \ne a a\n")
     with pytest.raises(ValueError, match=r"^line 4: cannot parse 'e x y z'$"):
         parse_edgelist("# header\nv x\n\ne x y z\n")
 
@@ -1082,7 +1103,7 @@ def literal_parse_edgelist(text: str) -> Graph:
         if fields[0] == "e" and len(fields) == 3:
             _, a, b = fields
             if a == b:
-                raise ValueError(f"self-loop at {a!r} not allowed")
+                raise ValueError(f"line {ln}: self-loop at {a!r} not allowed")
             i = index.get(a)
             if i is None:
                 i = g.add_vertex(a)
@@ -1196,6 +1217,7 @@ def parsed(parse, text):
 @given(edgelist_texts())
 @example("e a b\ne a c\nv d\ne d b\ne a d\nv a\ne a c\n")  # first labels a, a, d, a, a
 @example("e a b\ne a c\ne a x y\ne a d\n")
+@example("v a\n\x0ce\ta a\ne a a\n")  # the self-loop is on line 3
 @settings(max_examples=500, deadline=None)
 def test_parse_edgelist_matches_literal_parser(text):
     assert parsed(parse_edgelist, text) == parsed(literal_parse_edgelist, text)
