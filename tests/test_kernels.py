@@ -1,17 +1,25 @@
-"""The scan kernels scan half of each range and mirror the rest; they are
-checked against literal full scans."""
+"""The scan kernels are checked against literal full scans.
 
+The square-root kernels scan half of each range and mirror the rest, and
+the unit count sieves [1, n) in windows of ``WINDOW`` elements, so the
+unit count is also checked on moduli that span several windows, and for
+the memory it holds at n near 10^7."""
+
+import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cleangraphs import _kernels, verify
 from cleangraphs._kernels import (
+    WINDOW,
     backend,
     count_square_roots_of_one,
     count_units,
     square_roots_of_one,
 )
+from cleangraphs.modring import factorize
 
 
 def test_backend_reports_a_known_name():
@@ -36,7 +44,7 @@ def test_rejects_nonpositive(fn):
 
 
 # Literal full scans over [1, n): the reference the kernels are checked
-# against, since the kernels only scan half the range.
+# against, since the kernels mirror half the range or sieve it.
 def full_scan_square_roots_of_one(n):
     return [u for u in range(1, n) if u * u % n == 1]
 
@@ -62,11 +70,37 @@ def full_scans():
     ]
 
 
-# "pykernels" is the kernel module itself; "active" is the module that
-# `cleangraphs.verify` binds and the verification sweeps call through.
-@pytest.mark.parametrize("impl", [_kernels, verify._kernels], ids=["pykernels", "active"])
-def test_kernels_match_full_scan(impl, full_scans):
+def test_kernels_match_full_scan(full_scans):
     for n, roots, root_count, unit_count in full_scans:
-        assert impl.square_roots_of_one(n) == roots, n
-        assert impl.count_square_roots_of_one(n) == root_count, n
-        assert impl.count_units(n) == unit_count, n
+        assert square_roots_of_one(n) == roots, n
+        assert count_square_roots_of_one(n) == root_count, n
+        assert count_units(n) == unit_count, n
+
+
+def test_verify_calls_the_kernel_module():
+    # the verification sweeps call the kernels through `verify._kernels`
+    assert verify._kernels is _kernels
+
+
+@given(st.integers(min_value=1, max_value=3 * WINDOW))
+@example(WINDOW - 1)
+@example(WINDOW)
+@example(WINDOW + 1)
+@example(2 * WINDOW + 1)
+@example(1 << 17)
+@example(720_720)  # 240 divisors, 11 windows
+@settings(max_examples=40, deadline=None)
+def test_unit_count_matches_full_scan_across_windows(n):
+    assert count_units(n) == full_scan_count_units(n)
+
+
+def test_unit_count_memory_stays_under_a_megabyte():
+    n = 10_000_019
+    tracemalloc.start()
+    try:
+        units = count_units(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert units == factorize(n).unit_count()
