@@ -25,7 +25,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Iterator, Literal, Sequence, TypeVar
 
@@ -36,6 +36,10 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 # with fewer than FEW set bits is split or built one bit at a time
 DENSE = 16
 FEW = 16
+
+# the parser splits its text into lines a block of at least BLOCK
+# characters at a time
+BLOCK = 1 << 16
 
 T = TypeVar("T")
 
@@ -608,7 +612,9 @@ def export(g: Graph, fmt: str) -> str:
 
     Edges are written a row at a time: every edge of one row shares its
     first vertex, so a row becomes one ``str.join`` over its later
-    neighbours.
+    neighbours.  The DOT, JSON and edge-list writers collect their rows
+    and closing text in one list and join it once, so they hold at most
+    the row strings and the result, about twice the output.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {EXPORT_FORMATS}")
@@ -620,26 +626,29 @@ def export(g: Graph, fmt: str) -> str:
         for a, later in _ranked_rows(g, labels):
             head = f'  "{a}" -- "'
             lines.append(head + ('";\n' + head).join(later) + '";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines += ["}", ""]
+        return "\n".join(lines)
     if fmt == "json":
         # the layout of json.dumps({"vertices": ..., "edges": ...}, indent=2)
         # with each label encoded by json.dumps itself
         quoted = list(map(json.dumps, labels))
-        rows = []
+        vertices = "[\n    " + ",\n    ".join(quoted) + "\n  ]" if quoted else "[]"
+        parts = [f'{{\n  "vertices": {vertices},\n  "edges": [']
+        sep = "\n"  # before the first edge row, ",\n" before the others
         for a, later in _ranked_rows(g, quoted):
             head, tail = f"    [\n      {a},\n      ", "\n    ]"
-            rows.append(head + (tail + ",\n" + head).join(later) + tail)
-        vertices = "[\n    " + ",\n    ".join(quoted) + "\n  ]" if quoted else "[]"
-        edges = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        return f'{{\n  "vertices": {vertices},\n  "edges": {edges}\n}}\n'
+            parts += (sep, head + (tail + ",\n" + head).join(later) + tail)
+            sep = ",\n"
+        parts.append("\n  ]\n}\n" if len(parts) > 1 else "]\n}\n")
+        return "".join(parts)
     if fmt == "edgelist":
         lines = [f"# {g.num_vertices} vertices, {g.num_edges} edges"]
         lines += [f"v {v}" for v in labels]
         for a, later in _ranked_rows(g, labels):
             head = f"e {a} "
             lines.append(head + ("\n" + head).join(later))
-        return "\n".join(lines) + "\n"
+        lines.append("")
+        return "\n".join(lines)
     # incidence: rows follow vertex storage order, columns the sorted edges;
     # each vertex row is filled from the columns of its own edges, with
     # cells as strings so that csv need not convert them
@@ -662,6 +671,25 @@ def export(g: Graph, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split a block at a time.
+
+    Each block but the last ends just after the first "\\n" at least
+    BLOCK characters past its start.  Every line boundary but "\\r\\n" is
+    one character, and "\\r\\n" ends in "\\n", so no cut splits a
+    boundary and the blocks' lines, in order, are the text's.
+    """
+
+    def blocks() -> Iterator[str]:
+        start, end = 0, len(text)
+        while start < end:
+            cut = text.find("\n", start + BLOCK) + 1 or end
+            yield text[start:cut]
+            start = cut
+
+    return chain.from_iterable(map(str.splitlines, blocks()))
+
+
 def parse_edgelist(text: str) -> Graph:
     """Inverse of export(..., "edgelist"); comments and blanks ignored.
 
@@ -670,11 +698,15 @@ def parse_edgelist(text: str) -> Graph:
     and b distinct, is tested first, and a run of lines sharing their
     first label looks that label up once.  Each vertex's neighbour
     indices are collected and its row is built from them once, at the end.
+    The lines are read a block at a time (see ``_lines``), so beyond the
+    text the parser holds one block's lines and the neighbour lists, not
+    a string per line: on an exported edge list, about as much again as
+    the text.
     """
     index: dict[str, int] = {}  # label -> index, in the order first seen
     nbrs: list[list[int]] = []  # nbrs[i]: the indices read as i's neighbours
     last, i, mine = None, 0, []
-    for fields in map(str.split, text.splitlines()):
+    for fields in map(str.split, _lines(text)):
         if len(fields) == 3 and fields[0] == "e" and fields[1] != fields[2]:
             _, a, b = fields
             if a != last:
@@ -698,7 +730,7 @@ def parse_edgelist(text: str) -> Graph:
         else:
             # how a line is read depends on its fields alone, so the first
             # line with these fields is the one that failed
-            lines = enumerate(text.splitlines(), start=1)
+            lines = enumerate(_lines(text), start=1)
             ln, raw = next((ln, raw) for ln, raw in lines if raw.split() == fields)
             if fields[0] == "e" and len(fields) == 3:
                 raise ValueError(f"line {ln}: self-loop at {fields[1]!r} not allowed")

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from typing import Iterable
@@ -1220,4 +1221,60 @@ def parsed(parse, text):
 @example("v a\n\x0ce\ta a\ne a a\n")  # the self-loop is on line 3
 @settings(max_examples=500, deadline=None)
 def test_parse_edgelist_matches_literal_parser(text):
-    assert parsed(parse_edgelist, text) == parsed(literal_parse_edgelist, text)
+    # at blocks short enough for the texts drawn to cross several; set
+    # here, as hypothesis refuses a function-scoped fixture
+    expected = parsed(literal_parse_edgelist, text)
+    block = graph_module.BLOCK
+    try:
+        for size in (block, 0, 1, 2, 7):
+            graph_module.BLOCK = size
+            assert parsed(parse_edgelist, text) == expected
+    finally:
+        graph_module.BLOCK = block
+
+
+# every sequence that str.splitlines takes for a line boundary
+LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@given(st.lists(st.sampled_from(["a", "b", " ", "\t", *LINE_BOUNDARIES])), st.integers(min_value=0, max_value=8))
+@example(["a", "\r\n", "b"], 1)  # the block's first "\n" ends a "\r\n"
+@example(["\n", "\n"], 0)  # an empty line at a cut
+@settings(max_examples=500, deadline=None)
+def test_block_reader_matches_splitlines(pieces, block):
+    text = "".join(pieces)
+    saved = graph_module.BLOCK
+    graph_module.BLOCK = block
+    try:
+        lines = list(graph_module._lines(text))
+    finally:
+        graph_module.BLOCK = saved
+    assert lines == text.splitlines()
+
+
+# -- memory of the edge-list round trip -----------------------------------------
+
+
+def traced_peak(f, *args) -> int:
+    """The peak of the memory traced while f runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_edgelist_holds_less_than_twice_its_text():
+    # 1.26 MB of text, about 20 blocks; a list of every line would hold
+    # several times the text
+    text = export(cl2(210), "edgelist")
+    assert traced_peak(parse_edgelist, text) < 2 * len(text)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json", "edgelist"])
+def test_export_holds_less_than_two_and_a_half_outputs(fmt):
+    # the row strings and the one joined result, with no second copy
+    g = cl2(210)
+    size = len(export(g, fmt))
+    assert traced_peak(export, g, fmt) < 2.5 * size
