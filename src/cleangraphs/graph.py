@@ -24,7 +24,7 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Iterator, Literal, Sequence, TypeVar
@@ -111,25 +111,22 @@ class Graph:
     int with bit j set when j is a neighbour, and the label ``labels[i]``;
     ``index`` maps each label back to i.
 
-    ``labels`` and ``index`` are built when first read, from the label
-    source the graph was made with, so a graph that nothing asks for a
-    label never makes one.  A builder's label source may only read data
-    that never changes after the build.
+    ``labels`` and ``index`` are cached properties, built on first read
+    from the label source the graph was made with, so a graph that
+    nothing asks for a label never makes one.  A builder's label source
+    may only read data that never changes after the build.
     """
-
-    __slots__ = ("adj", "_source", "_labels", "_index")
 
     def __init__(
         self,
         vertices: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ) -> None:
-        # repeated labels keep their first position; the labels are built,
-        # and so checked, at once
+        # repeated labels keep their first position
         source = dict.fromkeys(vertices)
         self.adj: list[int] = [0] * len(source)
-        self._source: Iterable[str] | None = source
-        self._build_labels()
+        self._source: Iterable[str] = source
+        self.labels  # built, and so checked, at once
         for a, b in edges:
             self.add_edge(a, b)
 
@@ -140,10 +137,11 @@ class Graph:
         and have no vertex's own bit set.  The labels are read, and
         checked, when ``labels`` or ``index`` is first read."""
         g = cls.__new__(cls)
-        g.adj, g._source, g._labels, g._index = rows, labels, None, None
+        g.adj, g._source = rows, labels
         return g
 
-    def _build_labels(self) -> None:
+    @cached_property
+    def labels(self) -> list[str]:
         # the source is read once, so that a failed check fails alike again
         labels = self._source = list(dict.fromkeys(self._source))
         for v in labels:
@@ -151,20 +149,12 @@ class Graph:
                 raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
         if len(labels) != len(self.adj):
             raise ValueError(f"{len(self.adj)} rows for {len(labels)} distinct labels")
-        self._index = dict(zip(labels, range(len(labels))))
-        self._labels, self._source = labels, None
+        return labels
 
-    @property
-    def labels(self) -> list[str]:
-        if self._labels is None:
-            self._build_labels()
-        return self._labels
-
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        if self._index is None:
-            self._build_labels()
-        return self._index
+        labels = self.labels
+        return dict(zip(labels, range(len(labels))))
 
     # -- mutation ------------------------------------------------------------
 
@@ -176,7 +166,7 @@ class Graph:
             if not isinstance(v, str):
                 raise TypeError(f"vertex labels must be str, got {type(v).__name__}")
             i = index[v] = len(self.adj)
-            self._labels.append(v)
+            self.labels.append(v)
             self.adj.append(0)
         return i
 
@@ -415,16 +405,20 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
             return cg, ch
 
 
-def _search_order(g: Graph, colors: list[int]) -> list[int]:
+def _search_order(g: Graph, colors: list[int]) -> tuple[list[int], list[list[int]]]:
     """Vertex indices in backtracking order: stay adjacent to the mapped
     prefix, prefer rare colors and high degree, then the smaller label.
+    With the order come the back lists: ``back[d]``, the depths of the
+    neighbours of ``order[d]`` that come before it in the order.
 
     The last three keys never change, so they are ranked once.  The
     vertices not yet placed are kept, by rank, as rows bucketed by how
     many placed neighbours they have; the next vertex is the lowest bit
     of the highest non-empty bucket (labels are distinct, so ranks never
-    tie).  Placing it moves its neighbours up one bucket, with one AND
-    for each bucket passed, the highest first so that none moves twice.
+    tie).  Placing it moves its unplaced neighbours, ``lift``, up one
+    bucket, with one AND for each bucket passed, the highest first so
+    that none moves twice; the rest of its row is its placed neighbours,
+    whose depths are its back list.
     """
     class_size = Counter(colors)
     labels, k = g.labels, len(g.labels)
@@ -435,6 +429,8 @@ def _search_order(g: Graph, colors: list[int]) -> list[int]:
     # buckets[j]: the ranks of the unplaced vertices with j placed neighbours
     buckets = [unplaced]
     order: list[int] = []
+    back: list[list[int]] = []
+    depth_of = [0] * k  # by rank: the depth it was placed at
     while unplaced:
         while not buckets[-1]:
             buckets.pop()
@@ -443,8 +439,10 @@ def _search_order(g: Graph, colors: list[int]) -> list[int]:
         buckets[-1] = top ^ low
         unplaced ^= low
         r = low.bit_length() - 1
+        depth_of[r] = len(order)
         order.append(ranked[r])
         lift = rows[r] & unplaced
+        back.append(_select(rows[r] ^ lift, depth_of))
         if lift:
             buckets.append(0)
             j = len(buckets) - 2
@@ -455,7 +453,7 @@ def _search_order(g: Graph, colors: list[int]) -> list[int]:
                     buckets[j + 1] |= moved
                     lift ^= moved
                 j -= 1
-    return order
+    return order, back
 
 
 def find_isomorphism(
@@ -475,13 +473,15 @@ def find_isomorphism(
     The search runs on h's rows renumbered in label order, so a color
     class is one row whose ascending bits are its candidates in label
     order.  At each depth the free members of the class are AND-ed with
-    the rows of the images of the vertex's mapped neighbours; each loop
+    the rows of the images of the vertex's mapped neighbours, whose
+    depths the walk that orders the vertices also lists; each loop
     turn takes one survivor.  Its exact prefix test is a bit count: rows
     are symmetric, so its row holds each of those distinct images, and
     it meets the used ranks in them alone (edges and non-edges both
     match) when it meets exactly as many.  Every free member is a node,
     tested or filtered out, added by one bit count when its depth places
-    a vertex or is exhausted, where the budget is checked.
+    a vertex or is exhausted, where the budget is checked.  The witness
+    is the picks of a full depth read in vertex order.
     """
     refined = _joint_refinement(g, h)
     if refined is None:
@@ -490,7 +490,7 @@ def find_isomorphism(
         return IsoResult("isomorphic", (), 0)
     cg, ch = refined
 
-    order = _search_order(g, cg)
+    order, back = _search_order(g, cg)
     k = len(order)
     # h in label order: bit s of rows[r] is set when the h vertices of
     # label ranks r and s are adjacent
@@ -500,15 +500,8 @@ def find_isomorphism(
     for r, v in enumerate(by_label):
         members.setdefault(ch[v], []).append(r)
     by_color = {c: _row_of(rs, k) for c, rs in members.items()}
-    # classes[d]: the candidates for order[d]; back[d]: the depths of the
-    # neighbours of order[d] that come before it in the order
+    # classes[d]: the candidates for order[d]
     classes = [by_color[cg[v]] for v in order]
-    depth_of = sorted(range(k), key=order.__getitem__)  # inverse of order
-    back: list[list[int]] = []
-    placed = 0
-    for v in order:
-        back.append(_select(g.adj[v] & placed, depth_of))
-        placed |= 1 << v
 
     # a negative budget stops at the first node, as a zero one does
     budget = max(budget, 0)
@@ -545,8 +538,9 @@ def find_isomorphism(
             used |= low
             depth += 1
             if depth == k:
-                # image[v]: the index in h that v is mapped to
-                image = [by_label[picked[d].bit_length() - 1] for d in depth_of]
+                # image[v]: the index in h that v is mapped to; order holds
+                # each vertex once, so the sort never compares two picks
+                image = [by_label[p.bit_length() - 1] for _, p in sorted(zip(order, picked))]
                 if not verify_mapping(g, h, image):
                     raise RuntimeError("searcher built a witness that is not an isomorphism")
                 return IsoResult("isomorphic", tuple(image), expanded)

@@ -233,26 +233,23 @@ def self_inverse_closed_form(p: int, n: int) -> tuple[int, ...]:
 def unit_partition(ring: ModRing) -> UnitPartition:
     """Split U(Z_n), pairing the non-self-inverse units deterministically.
 
-    The tail is filled greedily: the smallest unplaced element of the
-    non-self-inverse part takes the lowest free front slot and its
-    inverse takes the matching slot from the back, which realizes
-    u_i * u_{k+t+1-i} = 1 while keeping the layout reproducible.
+    The tail is filled in ascending order: a non-self-inverse unit u
+    with u < u^-1 takes the next front slot and its inverse the matching
+    slot from the back, which realizes u_i * u_{k+t+1-i} = 1 while
+    keeping the layout reproducible.  Each couple is placed at the turn
+    of its smaller member, so this is the greedy layout that gives the
+    smallest unplaced unit the lowest free front slot.
     """
     n = ring.modulus
     units = ring.units()
     self_inverse = tuple(u for u in units if u * u % n == 1)
-    rest = [u for u in units if u * u % n != 1]
 
     front: list[int] = []
     back: list[int] = []
-    remaining = set(rest)
-    for u in rest:
-        if u not in remaining:
-            continue
+    for u in units:
         v = pow(u, -1, n)
-        remaining.discard(u)
-        remaining.discard(v)
-        front.append(u)
-        back.append(v)
+        if u < v:
+            front.append(u)
+            back.append(v)
     paired = tuple(front) + tuple(reversed(back))
     return UnitPartition(self_inverse, paired)

@@ -7,6 +7,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -201,13 +202,15 @@ def test_add_vertex_builds_the_labels_first():
 def count_label_builds(monkeypatch) -> list[int]:
     """The vertex counts of the graphs whose labels get built from now on."""
     built: list[int] = []
-    real = Graph._build_labels
+    real = vars(Graph)["labels"].func
 
     def counting(g):
         built.append(len(g.adj))
-        real(g)
+        return real(g)
 
-    monkeypatch.setattr(Graph, "_build_labels", counting)
+    labels = cached_property(counting)
+    labels.__set_name__(Graph, "labels")
+    monkeypatch.setattr(Graph, "labels", labels)
     return built
 
 
@@ -762,7 +765,14 @@ def assert_front_end_matches_literal(g: Graph, h: Graph) -> None:
     refined, literal = _joint_refinement(g, h), literal_joint_refinement(g, h)
     assert joint_classes(refined) == joint_classes(literal)
     if refined is not None:
-        assert _search_order(g, refined[0]) == literal_search_order(g, literal[0])
+        order, back = _search_order(g, refined[0])
+        assert order == literal_search_order(g, literal[0])
+        # back[d]: the depths of the neighbours of order[d] earlier in the order
+        depth_of = {v: d for d, v in enumerate(order)}
+        assert len(back) == len(order)
+        for d, v in enumerate(order):
+            want = [depth_of[w] for w in range(len(order)) if g.adj[v] >> w & 1 and depth_of[w] < d]
+            assert sorted(back[d]) == sorted(want)
 
 
 @given(searcher_pairs)

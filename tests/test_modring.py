@@ -153,6 +153,33 @@ def test_partition_sizes(n):
     assert part.t >= 1
 
 
+def literal_unit_partition(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(self-inverse units, paired tail) by the greedy loop: the smallest
+    unplaced non-self-inverse unit takes the lowest free front slot and
+    its inverse the matching slot from the back."""
+    units = factorize(n).units()
+    self_inverse = tuple(u for u in units if u * u % n == 1)
+    rest = [u for u in units if u * u % n != 1]
+    front: list[int] = []
+    back: list[int] = []
+    remaining = set(rest)
+    for u in rest:
+        if u not in remaining:
+            continue
+        v = pow(u, -1, n)
+        remaining.discard(u)
+        remaining.discard(v)
+        front.append(u)
+        back.append(v)
+    return self_inverse, tuple(front) + tuple(reversed(back))
+
+
+def test_partition_matches_the_greedy_layout():
+    for n in range(2, 3001):
+        part = unit_partition(factorize(n))
+        assert (part.self_inverse, part.paired) == literal_unit_partition(n), n
+
+
 @pytest.mark.parametrize("n", [2, 30, 360, 1155])
 def test_enumerations_are_computed_once_and_leave_the_ring_value_alone(n):
     warm, cold = factorize(n), factorize(n)
