@@ -17,7 +17,7 @@ import sys
 
 from . import verify as verify_mod
 from .cleangraph import cl1, cl2, clean_graph, idempotent_graph
-from .graph import EXPORT_FORMATS, export, parse_edgelist
+from .graph import EXPORT_FORMATS, _export_pieces, parse_edgelist
 from .modring import factorize
 from .shuriken import build_sh, build_shu
 
@@ -146,17 +146,19 @@ def _cmd_ring(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_build(args, parser: argparse.ArgumentParser) -> int:
     needs, build = _FAMILIES[args.family]
     _check_arguments(args, parser, f"build {args.family}", needs, needs)
-    sys.stdout.write(export(build(args), "edgelist"))
+    sys.stdout.writelines(_export_pieces(build(args), "edgelist"))
     return 0
 
 
 def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
-    text = export(parse_edgelist(sys.stdin.read()), args.format)
+    # the pieces are written as they come, so the whole text is never held;
+    # a graph that cannot be exported fails before the file is opened
+    pieces = _export_pieces(parse_edgelist(sys.stdin.read()), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -358,26 +358,35 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
     non-isomorphism).  The degree histograms are compared before any
     neighbour list is built.
 
-    Each round gives a vertex its old color together with the multiset
-    of its neighbours' colors, read in one of two exact forms.  With V
-    vertices, C colors and a degree total of 2E, a round with V·C <= 2E
-    keeps each color class as a row and counts the vertex's neighbours
-    in each class by one AND and one bit count; a sparser round sorts
-    the neighbours' colors, from neighbour lists built the first time
-    such a round comes.  Once the histograms agree, V, C and E are the
-    same in both graphs, so both take the same form and share one
-    palette.
+    Each round gives a vertex its old color together with what its
+    neighbours' colors add to it, read in one of two exact forms.  The
+    sorted form takes the multiset of the neighbours' colors, from
+    neighbour lists built the first time such a round comes.  The
+    counted form keeps as a row each class that the last round split
+    off, every child but the first of each class that split (after the
+    degree coloring, every degree class but the first), and counts the
+    vertex's neighbours in each by one AND and one bit count.  That is
+    the same partition: a vertex's old color fixes its count in every
+    class of the coloring before, so also in the child left out, which
+    holds that count less its siblings' counts.  With V vertices, S
+    classes split off and a degree total of 2E, a round takes the
+    counted form when V·S <= 2E.  Once the histograms agree, V, S and E
+    are the same in both graphs, so both take the same form and share
+    one palette.  A round that splits nothing ends the refinement.
     """
     cg, ch = g.degrees(), h.degrees()
-    if Counter(cg) != Counter(ch):
+    if sorted(cg) != sorted(ch):
         return None
     k, total = len(cg), sum(cg)
+    degrees = list(dict.fromkeys(cg))
+    count, split = len(degrees), degrees[1:]  # classes, and those split off
 
-    def counted(rows: list[int], old: list[int], colors: list[int]) -> list[tuple]:
-        # each class as a row; a vertex meets it in the bits of their AND
-        members = dict.fromkeys(colors, 0)
+    def counted(rows: list[int], old: list[int]) -> list[tuple]:
+        # each class split off as a row; a vertex meets it in the bits of their AND
+        members = dict.fromkeys(split, 0)
         for v, c in enumerate(old):
-            members[c] |= 1 << v
+            if c in members:
+                members[c] |= 1 << v
         counts = [list(map(int.bit_count, map(m.__and__, rows))) for m in members.values()]
         return list(zip(old, *counts))
 
@@ -387,22 +396,28 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
 
     lists: tuple[list[list[int]], ...] = ()  # g's and h's neighbour lists, once built
     while True:
-        colors = list(dict.fromkeys(cg))
-        if k * len(colors) <= total:
-            sg, sh = counted(g.adj, cg, colors), counted(h.adj, ch, colors)
+        if k * len(split) <= total:
+            sg, sh = counted(g.adj, cg), counted(h.adj, ch)
         else:
             if not lists:
                 everyone = range(k)
                 lists = tuple([_select(row, everyone) for row in x.adj] for x in (g, h))
             sg, sh = sorted_colors(lists[0], cg), sorted_colors(lists[1], ch)
         # new colors numbered by first appearance in g; a signature that g
-        # lacks gets None, which splits the histograms
+        # lacks gets k, a color g never has, which splits the histograms
         palette = dict(zip(dict.fromkeys(sg), range(k)))
-        cg, ch = list(map(palette.__getitem__, sg)), list(map(palette.get, sh))
-        if Counter(cg) != Counter(ch):
+        cg, ch = list(map(palette.__getitem__, sg)), [palette.get(s, k) for s in sh]
+        if sorted(cg) != sorted(ch):
             return None
-        if len(palette) == len(colors):
+        if len(palette) == count:
             return cg, ch
+        # a signature opens with its old color: every child after the
+        # first of the same old color was split off
+        count, split, parents = len(palette), [], set()
+        for signature, c in palette.items():
+            if signature[0] in parents:
+                split.append(c)
+            parents.add(signature[0])
 
 
 def _search_order(g: Graph, colors: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -562,9 +577,6 @@ def find_isomorphism(
 
 # -- serialization -----------------------------------------------------------
 
-EXPORT_FORMATS = ("dot", "json", "edgelist", "incidence")
-
-
 def _ranked_rows(g: Graph, names: Sequence[T]) -> Iterator[tuple[T, list[T]]]:
     """The sorted edge list a row at a time, as ``names`` write the vertices.
 
@@ -600,52 +612,45 @@ def _check_exportable(g: Graph) -> None:
             raise ValueError(f"label {v!r} contains whitespace or quotes")
 
 
-def export(g: Graph, fmt: str) -> str:
-    """Render g in one of EXPORT_FORMATS.  Output is deterministic:
-    vertices in stored order, edges sorted.
+def _dot(g: Graph) -> Iterator[str]:
+    yield "graph {\n" + "".join([f'  "{v}";\n' for v in g.labels])
+    for a, later in _ranked_rows(g, g.labels):
+        head = f'  "{a}" -- "'
+        between = '";\n' + head
+        yield f'{head}{between.join(later)}";\n'
+    yield "}\n"
 
-    Edges are written a row at a time: every edge of one row shares its
-    first vertex, so a row becomes one ``str.join`` over its later
-    neighbours.  The DOT, JSON and edge-list writers collect their rows
-    and closing text in one list and join it once, so they hold at most
-    the row strings and the result, about twice the output.
-    """
-    if fmt not in EXPORT_FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {EXPORT_FORMATS}")
-    _check_exportable(g)
+
+def _json(g: Graph) -> Iterator[str]:
+    # the layout of json.dumps({"vertices": ..., "edges": ...}, indent=2)
+    # with each label encoded by json.dumps itself
+    quoted = list(map(json.dumps, g.labels))
+    vertices = "[\n    " + ",\n    ".join(quoted) + "\n  ]" if quoted else "[]"
+    yield f'{{\n  "vertices": {vertices},\n  "edges": ['
+    sep = "\n"  # before the first edge row, ",\n" before the others
+    for a, later in _ranked_rows(g, quoted):
+        head, tail = f"    [\n      {a},\n      ", "\n    ]"
+        between = tail + ",\n" + head
+        yield f"{sep}{head}{between.join(later)}{tail}"
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
+
+
+def _edgelist(g: Graph) -> Iterator[str]:
     labels = g.labels
-    if fmt == "dot":
-        lines = ["graph {"]
-        lines += [f'  "{v}";' for v in labels]
-        for a, later in _ranked_rows(g, labels):
-            head = f'  "{a}" -- "'
-            lines.append(head + ('";\n' + head).join(later) + '";')
-        lines += ["}", ""]
-        return "\n".join(lines)
-    if fmt == "json":
-        # the layout of json.dumps({"vertices": ..., "edges": ...}, indent=2)
-        # with each label encoded by json.dumps itself
-        quoted = list(map(json.dumps, labels))
-        vertices = "[\n    " + ",\n    ".join(quoted) + "\n  ]" if quoted else "[]"
-        parts = [f'{{\n  "vertices": {vertices},\n  "edges": [']
-        sep = "\n"  # before the first edge row, ",\n" before the others
-        for a, later in _ranked_rows(g, quoted):
-            head, tail = f"    [\n      {a},\n      ", "\n    ]"
-            parts += (sep, head + (tail + ",\n" + head).join(later) + tail)
-            sep = ",\n"
-        parts.append("\n  ]\n}\n" if len(parts) > 1 else "]\n}\n")
-        return "".join(parts)
-    if fmt == "edgelist":
-        lines = [f"# {g.num_vertices} vertices, {g.num_edges} edges"]
-        lines += [f"v {v}" for v in labels]
-        for a, later in _ranked_rows(g, labels):
-            head = f"e {a} "
-            lines.append(head + ("\n" + head).join(later))
-        lines.append("")
-        return "\n".join(lines)
-    # incidence: rows follow vertex storage order, columns the sorted edges;
-    # each vertex row is filled from the columns of its own edges, with
-    # cells as strings so that csv need not convert them
+    header = f"# {g.num_vertices} vertices, {g.num_edges} edges\n"
+    yield header + "".join([f"v {v}\n" for v in labels])
+    for a, later in _ranked_rows(g, labels):
+        head = f"e {a} "
+        between = "\n" + head
+        yield f"{head}{between.join(later)}\n"
+
+
+def _incidence(g: Graph) -> Iterator[str]:
+    # rows follow vertex storage order, columns the sorted edges; each
+    # vertex row is filled from the columns of its own edges, with cells
+    # as strings so that csv need not convert them
+    labels = g.labels
     header = ["vertex"]
     columns: list[list[int]] = [[] for _ in labels]
     for i, later in _ranked_rows(g, range(len(labels))):
@@ -662,7 +667,36 @@ def export(g: Graph, fmt: str) -> str:
         for c in mine:
             row[c] = "1"
         writer.writerow(row)
-    return buf.getvalue()
+    yield buf.getvalue()
+
+
+# format name -> the writer of its text, a piece at a time
+_WRITERS = {"dot": _dot, "json": _json, "edgelist": _edgelist, "incidence": _incidence}
+EXPORT_FORMATS = tuple(_WRITERS)
+
+
+def _export_pieces(g: Graph, fmt: str) -> Iterator[str]:
+    """The text of ``export(g, fmt)`` in pieces, each no longer than the
+    vertex lines or one vertex's edge lines (incidence is one piece).
+    The format and the labels are checked at the call, before the first
+    piece is asked for, so a caller that writes the pieces as they come
+    writes nothing for a graph that cannot be exported."""
+    if fmt not in EXPORT_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {EXPORT_FORMATS}")
+    _check_exportable(g)
+    return _WRITERS[fmt](g)
+
+
+def export(g: Graph, fmt: str) -> str:
+    """Render g in one of EXPORT_FORMATS.  Output is deterministic:
+    vertices in stored order, edges sorted.
+
+    Edges are written a row at a time: every edge of one row shares its
+    first vertex, so a row becomes one ``str.join`` over its later
+    neighbours.  The pieces are joined once, so export holds at most the
+    pieces and the result, about twice the output.
+    """
+    return "".join(_export_pieces(g, fmt))
 
 
 def _lines(text: str) -> Iterator[str]:

@@ -4,13 +4,15 @@ main() is called in-process with argv lists; stdin piping is simulated
 through monkeypatching.
 """
 
+import hashlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cleangraphs.cleangraph import closed_form_degrees
+from cleangraphs.cleangraph import cl2, closed_form_degrees
 from cleangraphs.cli import THEOREMS, _exit_code, main
 from cleangraphs.graph import export
 from cleangraphs.verify import TheoremReport
@@ -100,13 +102,51 @@ def test_export_bad_input(capsys, monkeypatch):
     assert "cannot parse" in err
 
 
-def test_export_rejects_a_label_ending_in_a_backslash(capsys, monkeypatch):
+def test_export_rejects_a_label_ending_in_a_backslash(capsys, monkeypatch, tmp_path):
     # written as DOT, the backslash would escape the label's closing quote
     monkeypatch.setattr("sys.stdin", io.StringIO("v a\\\n"))
     code, out, err = run(capsys, "export", "--format", "dot")
     assert code == 2
     assert out == ""
     assert "backslash" in err
+    # the output is written as it comes, but not before the labels pass
+    monkeypatch.setattr("sys.stdin", io.StringIO("v a\\\n"))
+    target = tmp_path / "g.dot"
+    assert run(capsys, "export", "--format", "dot", "--out", str(target))[0] == 2
+    assert not target.exists()
+
+
+class Discard(io.RawIOBase):
+    """A raw stream that keeps only the length and digest of its bytes."""
+
+    def __init__(self):
+        self.size, self.digest = 0, hashlib.sha256()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.size += len(data)
+        self.digest.update(data)
+        return len(data)
+
+
+def test_build_writes_its_output_as_it_comes(monkeypatch):
+    # 1.26 MB of edge-list text; holding it whole, and its encoding as it
+    # is written, would trace more than twice that
+    text = export(cl2(210), "edgelist").encode()
+    sink = Discard()
+    out = io.TextIOWrapper(io.BufferedWriter(sink), encoding="utf-8")
+    monkeypatch.setattr("sys.stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(["build", "cl2", "210"]) == 0
+        out.flush()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sink.size, sink.digest.digest()) == (len(text), hashlib.sha256(text).digest())
+    assert peak < len(text) / 2
 
 
 def test_verify_single_pass(capsys):
@@ -452,6 +492,8 @@ def test_verify_all_range_matches_golden(capsys):
     [
         ("prism4.edgelist", lambda: ladder_graph(4, "a", False)),
         ("moebius4.edgelist", lambda: ladder_graph(4, "b", True)),
+        ("random10.edgelist", lambda: random_connected_graph(9, 10, 14)[0]),
+        ("random10_relabelled.edgelist", lambda: random_connected_graph(9, 10, 14)[1]),
         ("random60.edgelist", lambda: random_connected_graph(1, 60, 90)[0]),
         ("random60_relabelled.edgelist", lambda: random_connected_graph(1, 60, 90)[1]),
     ],
@@ -460,6 +502,18 @@ def test_searcher_golden_inputs_are_the_helpers_graphs(fixture, make):
     # CI runs shu-inheritance on these files; they are rebuilt here from
     # the test helpers alone
     assert export(make(), "edgelist").encode() == _golden_bytes(fixture)
+
+
+def test_verify_shu_inheritance_on_the_benchmark_shape_matches_golden(capsys):
+    # Shu(2, 4) of a random 10-vertex graph, as in the shu benchmark's
+    # median op: 44 vertices, three refinement rounds
+    code, out, _ = run(
+        capsys, "verify", "shu-inheritance", "--t", "2", "--n", "4",
+        "--input", str(GOLDEN / "random10.edgelist"),
+        "--input2", str(GOLDEN / "random10_relabelled.edgelist"), "--json", "--stable",
+    )
+    assert code == 0
+    assert out.encode() == _golden_bytes("shu_inheritance_random10.json")
 
 
 def test_verify_shu_inheritance_on_a_random_pair_matches_golden(capsys):

@@ -793,7 +793,10 @@ PINNED_PAIRS = {
     "shu_k33_prism": lambda: _shu_pair(circulant_graph(6, [1, 3]), ladder_graph(3, "x", False)),
     "shu_ladders3": lambda: _shu_pair(ladder_graph(3, "a", False), ladder_graph(3, "b", True)),
     "shu_c8": lambda: _shu_pair(circulant_graph(8, [1]), shuffled(circulant_graph(8, [1]), random.Random(8))),
-    # the pair that CI pins through verify shu-inheritance
+    # the pairs that CI pins through verify shu-inheritance: the shape of
+    # the shu benchmark's median op, Shu(2, 4) of a random 10-vertex graph,
+    # and a 366-vertex pair
+    "shu_random10": lambda: _shu_pair(*random_connected_graph(9, 10, 14)),
     "shu_random60": lambda: _shu_pair(*random_connected_graph(1, 60, 90), 2, 6),
 }
 
@@ -811,17 +814,21 @@ def test_front_end_matches_its_literal_form_on_pinned_pairs(name):
 
 
 def round_forms(g: Graph) -> list[str]:
-    """The form of each refinement round on g, read from V, the class
-    count C before the round and the degree total 2E: "mask" when
-    V·C <= 2E, else "list".  Rounds are counted on g alone; the joint
-    refinement makes as many, unless the histograms split first."""
+    """The form of each refinement round on g, read from V, the count S
+    of classes split off by the coloring before the round and the degree
+    total 2E: "mask" when V·S <= 2E, else "list".  A class that splits
+    into m children splits off m - 1 of them, so S is the class count
+    before the round less the one before that, the coloring before the
+    degree coloring being one class.  Rounds are counted on g alone; the
+    joint refinement makes as many, unless the histograms split first."""
     colors = g.degrees()
     k, total = len(colors), sum(colors)
     nbrs = [_select(row, range(k)) for row in g.adj]
     forms = []
+    count = len(set(colors))
+    split = max(count - 1, 0)
     while True:
-        count = len(set(colors))
-        forms.append("mask" if k * count <= total else "list")
+        forms.append("mask" if k * split <= total else "list")
         palette: dict[tuple, int] = {}
         colors = [
             palette.setdefault((c, tuple(sorted(colors[w] for w in row))), len(palette))
@@ -829,19 +836,89 @@ def round_forms(g: Graph) -> list[str]:
         ]
         if len(palette) == count:
             return forms
+        count, split = len(palette), len(palette) - count
+
+
+def sparse_tree() -> Graph:
+    """A random tree on 9 vertices, a side the drawn pairs can hold."""
+    return random_connected_graph(1, 9, 8)[0]
 
 
 def test_front_end_inputs_take_both_round_forms():
     # both forms are exact, so the oracle tests above pass whichever form
     # a round takes; this shows that their inputs take both
     forms = {name: round_forms(make()[0]) for name, make in PINNED_PAIRS.items()}
-    # regular sides are one class, so V·C <= 2E in their only round
-    assert all(forms[name] == ["mask"] for name in PINNED_PAIRS if name != "shu_random60")
-    # one call with a mask round and then sparse rounds
-    assert forms["shu_random60"] == ["mask", "list", "list"]
+    # the other sides are stable after one round, which counts in at most a
+    # few degree classes (none for a regular side)
+    others = [name for name in PINNED_PAIRS if not name.startswith("shu_random")]
+    assert all(forms[name] == ["mask"] for name in others)
+    # rounds that count by masks only, and a sparse round between two such
+    assert forms["shu_random10"] == ["mask", "mask", "mask"]
+    assert forms["shu_random60"] == ["mask", "list", "mask"]
     # the drawn pairs hold sparse sides and their complements
-    assert set(round_forms(path_graph(9))) == {"list"}
-    assert set(round_forms(complement(path_graph(9)))) == {"mask"}
+    assert set(round_forms(sparse_tree())) == {"list"}
+    assert set(round_forms(complement(sparse_tree()))) == {"mask"}
+
+
+def test_round_forms_is_the_rule_the_refinement_follows(monkeypatch):
+    # a list round is the only reader of _select in the refinement, so
+    # it reads rows exactly when the model has a list round
+    reads = []
+
+    def counting(row, values):
+        reads.append(row)
+        return _select(row, values)
+
+    monkeypatch.setattr(graph_module, "_select", counting)
+    pairs = [make() for make in PINNED_PAIRS.values()]
+    pairs += [(sparse_tree(), sparse_tree()), (complement(sparse_tree()), complement(sparse_tree()))]
+    # a triangle and three isolated vertices: V·S = 2E = 6, a mask round
+    boundary = disjoint_union([circulant_graph(3, [1]), empty_graph(3)])
+    assert round_forms(boundary) == ["mask"]
+    pairs.append((boundary, boundary))
+    for g, h in pairs:
+        reads.clear()
+        assert _joint_refinement(g, h) is not None
+        assert bool(reads) == ("list" in round_forms(g))
+
+
+def assert_refinement_matches_literal(g: Graph, h: Graph) -> None:
+    for a, b in ((g, h), (h, g)):
+        assert joint_classes(_joint_refinement(a, b)) == joint_classes(literal_joint_refinement(a, b))
+
+
+@pytest.mark.parametrize("n", [n for n in range(6, 151) if len(factorize(n).factorization) == 2])
+def test_refinement_matches_its_literal_form_on_two_prime_moduli(n):
+    # cl2 against Sh, the pair of the two-prime statement
+    part = factorize(n).unit_partition()
+    assert_refinement_matches_literal(cl2(n), build_sh(part.t, part.k))
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_refinement_matches_its_literal_form_on_random_shuriken_pairs(seed):
+    assert_refinement_matches_literal(*_shu_pair(*random_connected_graph(seed, 10, 14)))
+
+
+def largest_splits(g: Graph) -> list[int]:
+    """For each refinement round on g, the most classes that one class
+    of the coloring before it splits into."""
+    colors = g.degrees()
+    nbrs = [_select(row, range(len(colors))) for row in g.adj]
+    out = []
+    while True:
+        signatures = [(c, tuple(sorted(colors[w] for w in row))) for c, row in zip(colors, nbrs)]
+        out.append(max(Counter(c for c, _ in set(signatures)).values(), default=0))
+        if len(set(signatures)) == len(set(colors)):
+            return out
+        palette = dict(zip(dict.fromkeys(signatures), range(len(signatures))))
+        colors = list(map(palette.__getitem__, signatures))
+
+
+def test_refinement_matches_its_literal_form_where_a_class_splits_three_ways():
+    # the refinement counts in two of the three children and leaves out one
+    g, h = PINNED_PAIRS["shu_random10"]()
+    assert largest_splits(g) == [4, 3, 1]
+    assert_refinement_matches_literal(g, h)
 
 
 # -- the witness check against its literal form --------------------------------------
