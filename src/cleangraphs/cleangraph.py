@@ -57,22 +57,32 @@ def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
     (e, u) is every block whose f has e*f = 0, plus the column of the
     inverse of u in every block, minus the vertex itself.  As bitsets a
     block is a run of m set bits and a column a bit every m places.
+
+    The inverse columns (read from ``ring.inverses()``) are shifted once
+    per call, and each idempotent block's m rows are one comprehension:
+    the runs of the blocks that annihilate e, OR each column.  A row
+    holds its own bit only where one of the two parts put it there, so
+    only those rows are cleared: every row of a block whose e has
+    e*e = 0, that is e = 0, and otherwise the rows of the units that are
+    their own inverse.
     """
     n = ring.modulus
     units = ring.units()
     m = len(units)
     column = {u: c for c, u in enumerate(units)}
-    inverse_column = [column[pow(u, -1, n)] for u in units]
+    inverse_column = [column[v] for v in ring.inverses()]
+    self_inverse = [c for c, v in enumerate(inverse_column) if v == c]
     one_block = (1 << m) - 1
     first_column = sum(1 << (b * m) for b in range(len(idempotents)))
+    columns = [first_column << v for v in inverse_column]
     rows: list[int] = []
     for e in idempotents:
-        block = 0
-        for b, f in enumerate(idempotents):
-            if e * f % n == 0:
-                block |= one_block << (b * m)
-        for c in inverse_column:
-            rows.append((block | first_column << c) & ~(1 << len(rows)))
+        block = sum(one_block << (b * m) for b, f in enumerate(idempotents) if e * f % n == 0)
+        block_rows = [block | col for col in columns]
+        own = 1 << len(rows)
+        for c in range(m) if e == 0 else self_inverse:
+            block_rows[c] ^= own << c
+        rows += block_rows
     return Graph.from_rows((pair_label(e, u) for e in idempotents for u in units), rows)
 
 

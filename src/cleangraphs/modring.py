@@ -50,9 +50,12 @@ class ModRing:
 
     ``factorization`` lists (prime, exponent) with strictly increasing
     primes; ``prime_power_moduli`` are the corresponding p_i**n_i whose
-    product is ``modulus``.  ``idempotents()``, ``units()`` and
-    ``unit_partition()`` are computed on first call and kept, so every
-    caller of one ring shares them.
+    product is ``modulus``.  ``idempotents()``, ``units()``,
+    ``inverses()`` and ``unit_partition()`` are computed on first call
+    and kept, so every caller of one ring shares them.  The graph
+    builders read ``inverses()`` and the witnesses ``unit_partition()``;
+    neither is computed from the other, so a fault in one cannot hide in
+    the check that compares them.
     """
 
     modulus: int
@@ -125,6 +128,12 @@ class ModRing:
             [r for r in range(q) if r % p != 0]
             for (p, _), q in zip(self.factorization, self.prime_power_moduli)
         )
+
+    @_computed_once
+    def inverses(self) -> tuple[int, ...]:
+        """u^-1 for every unit u, in the order of ``units()``."""
+        n = self.modulus
+        return tuple(pow(u, -1, n) for u in self.units())
 
     def unit_count(self) -> int:
         """Euler phi from the factorization."""

@@ -78,6 +78,12 @@ def build_shu(g: Graph, t: int, n: int) -> Graph:
     included); copies 1..t are completed into cliques (hub included);
     copies i and n + t + 1 - i are completely joined for
     t < i <= (n + t) / 2.  Hypotheses: n >= t >= 1 and n - t even.
+
+    The rows of all copies are one comprehension: a vertex's lifted row
+    OR the run of its own copy (i <= t) or its mirror copy.  A lifted row
+    never holds its own vertex, and n + t + 1 is odd, so no copy is its
+    own mirror: only the first t*w rows, those of the completed copies,
+    hold their own bit, and only those are cleared.
     """
     if t < 1 or n < t:
         raise ValueError(f"need n >= t >= 1, got t={t} n={n}")
@@ -93,11 +99,9 @@ def build_shu(g: Graph, t: int, n: int) -> Graph:
     # places is its copies side by side, none overlapping
     every_copy = sum(1 << copy_index(i, 0, w) for i in range(1, n + 1))
     lifted = [row * every_copy for row in g.adj] + [0]
-    rows: list[int] = []
-    for i in range(1, n + 1):
-        # copy i is completed (i <= t) or joined to its mirror copy
-        c = i if i <= t else n + t + 1 - i
-        whole = one_copy << copy_index(c, 0, w)
-        for x in range(w):
-            rows.append((lifted[x] | whole) & ~(1 << copy_index(i, x, w)))
+    # copy i is completed (i <= t) or joined to its mirror copy
+    wholes = [one_copy << copy_index(i if i <= t else n + t + 1 - i, 0, w) for i in range(1, n + 1)]
+    rows = [row | whole for whole in wholes for row in lifted]
+    for v in range(t * w):
+        rows[v] ^= 1 << v
     return Graph.from_rows((copy_label(v, i) for i in range(1, n + 1) for v in full), rows)

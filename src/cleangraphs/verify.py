@@ -106,23 +106,29 @@ def degree_table(n: ModRing | int) -> list[tuple[tuple[int, int], int, int, int]
 
 @_timed("degree_formula")
 def verify_degree_formula(n: ModRing | int) -> _Outcome:
-    """Compare every vertex degree of cl2(Z_n) against the closed form."""
+    """Compare every vertex degree of cl2(Z_n) against the closed form.
+
+    The built degrees and the predicted ones are compared as two lists,
+    in stored order; only when they differ are they walked with
+    ``cl2_pairs``, to name the first vertex whose degree disagrees."""
     ring = _ring(n)
     instance = f"n={ring.modulus}"
-    table = degree_table(ring)
-    for (e, u), actual, predicted, _ in table:
-        if actual != predicted:
-            return (
-                instance,
-                "fail",
-                f"vertex ({e},{u}) has degree {actual}, formula gives {predicted}",
-                {"vertex": [e, u], "actual": actual, "predicted": predicted},
-            )
+    degrees = cl2(ring).degrees()
+    predictions = [predicted for predicted, _ in closed_form_degrees(ring)]
+    if degrees != predictions:
+        for (e, u), actual, predicted in zip(cl2_pairs(ring), degrees, predictions):
+            if actual != predicted:
+                return (
+                    instance,
+                    "fail",
+                    f"vertex ({e},{u}) has degree {actual}, formula gives {predicted}",
+                    {"vertex": [e, u], "actual": actual, "predicted": predicted},
+                )
     return (
         instance,
         "pass",
-        f"all {len(table)} vertex degrees match the closed form",
-        {"vertices_checked": len(table)},
+        f"all {len(degrees)} vertex degrees match the closed form",
+        {"vertices_checked": len(degrees)},
     )
 
 
@@ -271,10 +277,12 @@ def verify_pq(n: ModRing | int) -> _Outcome:
     # CRT idempotents: e_a vanishes at the p-coordinate, e_b at the q-coordinate
     e_a = next(e for e in ring.idempotents() if e % p**np_ == 0 and e % q**mq == 1)
     e_b = next(e for e in ring.idempotents() if e % p**np_ == 1 and e % q**mq == 0)
-    # a_i, b_i, c_i are vertex i - 1 of Sh's blocks 1, 2, 3
-    block = {e_a: 1, e_b: 2, 1: 3}
+    # a_i, b_i, c_i are vertex i - 1 of Sh's blocks 1, 2, 3: (e, u_i) goes
+    # to the start of e's block plus the place of u in the layout
+    start = {e: copy_index(b, 0, k) for e, b in ((e_a, 1), (e_b, 2), (1, 3))}
     position = {u: x for x, u in enumerate(part.ordered_units())}
-    witness = [copy_index(block[e], position[u], k) for e, u in cl2_pairs(ring)]
+    offsets = [position[u] for u in ring.units()]
+    witness = [start[e] + x for e in ring.nonzero_idempotents() for x in offsets]
 
     evidence = {"t": t, "k": k, "vertices": left.num_vertices}
     return _witness_outcome(instance, left, right, witness, evidence, f"Sh(t={t}, n={k})")
@@ -310,8 +318,10 @@ def verify_general(n: ModRing | int) -> _Outcome:
     width = len(base_order) + 1
     place = {e: x for x, e in enumerate(base_order)}
     place[1] = width - 1  # the hub
-    copy = {u: i for i, u in enumerate(part.ordered_units(), start=1)}
-    witness = [copy_index(copy[u], place[e], width) for e, u in cl2_pairs(ring)]
+    # (e, u_i) goes to the start of copy i plus the place of e in a copy
+    start = {u: copy_index(i, 0, width) for i, u in enumerate(part.ordered_units(), start=1)}
+    offsets = [start[u] for u in ring.units()]
+    witness = [x + place[e] for e in ring.nonzero_idempotents() for x in offsets]
 
     evidence = {"t": t, "k": k, "vertices": left.num_vertices}
     onto = f"Shu(t={t}, n={k}) over the {base.num_vertices}-vertex idempotent graph"

@@ -94,6 +94,21 @@ def test_cl2_edgelist_digest(n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "builder,digest",
+    [
+        # 768 vertices, 97,428 edges, past the literal scans' n <= 120; the
+        # zero idempotent's block is the one whose every row holds its own bit
+        (clean_graph, "b68ef0f14c3a34a2e82d796d9c1dc9d25b229f1429271f731619fdef3a6701f9"),
+        (cl1, "bf25ad4667c6953b4121ccb8c9cd9165b483daaa9b1fae5a967d361d6ebab6bf"),
+    ],
+    ids=["clean_graph", "cl1"],
+)
+def test_pair_graph_edgelist_digest_at_210(builder, digest):
+    text = export(builder(210), "edgelist")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_idempotent_graph_of_30():
     g = idempotent_graph(30)
     assert g.num_vertices == 6

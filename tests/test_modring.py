@@ -94,6 +94,13 @@ def test_units_match_brute_force(n):
     assert r.unit_count() == len(r.units())
 
 
+@given(moduli)
+def test_inverses_match_brute_force(n):
+    r = factorize(n)
+    assert r.inverses() is r.inverses()
+    assert r.inverses() == tuple(next(v for v in range(n) if u * v % n == 1) for u in brute_units(n))
+
+
 def test_annihilating_idempotent_count_examples():
     r = factorize(30)
     # brute: nonzero idempotents f with 6*f % 30 == 0 are 10, 15, 25

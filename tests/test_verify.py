@@ -7,10 +7,13 @@ from pathlib import Path
 import pytest
 
 from cleangraphs import cleangraph as cleangraph_module, verify as verify_module
+from cleangraphs.cleangraph import cl1, cl2, clean_graph, idempotent_graph, pair_label
 from cleangraphs.graph import Graph, IsoResult, complete_graph
-from cleangraphs.modring import UnitPartition
+from cleangraphs.modring import ModRing, UnitPartition, factorize
+from cleangraphs.shuriken import build_shu
 from cleangraphs.verify import (
     TheoremReport,
+    degree_table,
     format_report,
     report_counterexample,
     reports_to_json,
@@ -329,6 +332,57 @@ def test_degree_formula_fails_on_a_dropped_edge(monkeypatch):
     assert r.evidence["actual"] == r.evidence["predicted"] - 1
     e, u = r.evidence["vertex"]
     assert f"({e},{u})" in edge
+
+
+def test_degree_formula_names_the_first_of_four_disagreeing_vertices(monkeypatch):
+    # one dropped edge at the last vertex, one at the first, listed in that
+    # order: four vertices lose a degree, and the first in stored order is
+    # the one the report must name
+    g = verify_module.cl2(30)
+    first, last = g.vertices[0], g.vertices[-1]
+    early = next(edge for edge in g.edges() if first in edge and last not in edge)
+    late = next(edge for edge in g.edges() if last in edge and not set(edge) & set(early))
+    plant(monkeypatch, "cl2", lambda g: without_edges(g, [late, early]))
+    disagreeing = [row for row in degree_table(30) if row[1] != row[2]]
+    assert {pair_label(*pair) for pair, *_ in disagreeing} == {*early, *late}
+    (e, u), actual, predicted, _ = disagreeing[0]
+    assert pair_label(e, u) == first
+    r = verify_degree_formula(30)
+    assert r.status == "fail"
+    assert r.detail == f"vertex ({e},{u}) has degree {actual}, formula gives {predicted}"
+    assert r.evidence == {"vertex": [e, u], "actual": actual, "predicted": predicted}
+    assert actual == predicted - 1
+
+
+def test_a_swapped_inverse_fails_the_graph_checks_but_not_the_unit_layout(monkeypatch):
+    # cl2 reads the inverses, the witnesses read the unit partition: a
+    # fault in the first must show against the second
+    layout = factorize(30).unit_partition().ordered_units()
+    real = ModRing.inverses
+
+    def swapped(ring):
+        inverses = list(real(ring))
+        inverses[0], inverses[1] = inverses[1], inverses[0]
+        return tuple(inverses)
+
+    monkeypatch.setattr(ModRing, "inverses", swapped)
+    assert factorize(30).unit_partition().ordered_units() == layout
+    assert verify_degree_formula(30).status == "fail"
+    r = verify_general(30)
+    assert r.status == "fail"
+    assert r.detail == "constructed witness is not an isomorphism"
+
+
+def test_the_builders_do_not_read_the_unit_layout(monkeypatch):
+    built = [builder(30).adj for builder in (cl2, clean_graph, cl1)]
+    shu = build_shu(idempotent_graph(30), 4, 8).adj
+
+    def refuse(ring):
+        raise AssertionError("a builder read the unit layout")
+
+    monkeypatch.setattr(ModRing, "unit_partition", refuse)
+    assert [builder(30).adj for builder in (cl2, clean_graph, cl1)] == built
+    assert build_shu(idempotent_graph(30), 4, 8).adj == shu
 
 
 def test_counterexample_report_fails_on_a_dropped_edge(monkeypatch):
