@@ -5,7 +5,7 @@ idempotents, the clean graph on all (idempotent, unit) pairs, and its
 two induced pieces cl1 (zero idempotent) and cl2 (nonzero idempotent).
 cl2 carries essentially all the structure and is where the degree
 formula lives: ``predicted_degree`` and ``legacy_degree`` state it per
-vertex, ``closed_form_degrees`` tabulates it once per idempotent block.
+vertex, ``closed_form_degrees`` gives both as columns, a block at a time.
 
 The pair graphs are built row by row from the defining rule "e*f = 0
 or u*v = 1", split at its OR: which idempotent blocks annihilate e, and
@@ -141,23 +141,25 @@ def legacy_degree(r: ModRing | int, e: int, u: int) -> int:
     return predicted_degree(r, e, u) + _ring(r).annihilating_idempotent_count(e)
 
 
-def closed_form_degrees(r: ModRing | int) -> list[tuple[int, int]]:
-    """(predicted_degree, legacy_degree) of every cl2 vertex, in the
-    order of ``cl2_pairs(r)``.
+def closed_form_degrees(r: ModRing | int) -> tuple[list[int], list[int]]:
+    """The columns (predicted_degree, legacy_degree) over the cl2
+    vertices, in the order of ``cl2_pairs(r)``.
 
     Both forms depend on e only through O_e and on u only through
-    whether u*u = 1, so |Id|, |U| and O_e are computed once per
-    idempotent block and c once per unit.  Like the per-vertex forms
-    this reads the ring, never the graph.
+    whether u*u = 1, so each idempotent block of a column is one
+    comprehension over the units' c.  Like the per-vertex forms this
+    reads the ring, never the graph.
     """
     ring = _ring(r)
     n = ring.modulus
     num_id = 1 << ring.num_primes
     num_units = ring.unit_count()
     cs = [2 if u * u % n == 1 else 1 for u in ring.units()]
-    out: list[tuple[int, int]] = []
+    predicted: list[int] = []
+    legacy: list[int] = []
     for e in ring.nonzero_idempotents():
         o_e = ring.annihilating_idempotent_count(e)
         block = num_id + o_e * (num_units - 1)
-        out += [(block - c, block - c + o_e) for c in cs]
-    return out
+        predicted += [block - c for c in cs]
+        legacy += [block + o_e - c for c in cs]
+    return predicted, legacy

@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import verify as verify_mod
-from .cleangraph import cl1, cl2, clean_graph, idempotent_graph
+from .cleangraph import cl1, cl2, cl2_pairs, clean_graph, idempotent_graph
 from .graph import EXPORT_FORMATS, _export_pieces, parse_edgelist
 from .modring import factorize
 from .shuriken import build_sh, build_shu
@@ -163,7 +163,8 @@ def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_degrees(args, parser: argparse.ArgumentParser) -> int:
-    table = verify_mod.degree_table(args.n)
+    ring = factorize(args.n)
+    table = zip(cl2_pairs(ring), *verify_mod.degree_table(ring))
     print(f"cl2(Z_{args.n}): vertex (e,u), actual degree, both formulas")
     for (e, u), actual, corrected, legacy in table:
         flag = " MISMATCH" if legacy != actual else ""

@@ -95,41 +95,45 @@ def _timed(theorem_id: str):
 # -- degree formula -----------------------------------------------------------
 
 
-def degree_table(n: ModRing | int) -> list[tuple[tuple[int, int], int, int, int]]:
-    """((e, u), actual, corrected, legacy) for every vertex of cl2(Z_n),
-    in stored order: its degree in the built graph, then the degrees the
-    closed form and its superseded version predict."""
+def degree_table(n: ModRing | int) -> tuple[list[int], list[int], list[int]]:
+    """The columns (actual, corrected, legacy) over the vertices of
+    cl2(Z_n) in stored order: the degrees in the graph, built once, then
+    the ones the closed form and its superseded version predict."""
     ring = _ring(n)
-    rows = zip(cl2_pairs(ring), cl2(ring).degrees(), closed_form_degrees(ring))
-    return [(pair, actual, *forms) for pair, actual, forms in rows]
+    return (cl2(ring).degrees(), *closed_form_degrees(ring))
+
+
+def _degree_mismatch(
+    ring: ModRing, actual: list[int], column: list[int], key: str, detail: str
+) -> tuple[str, dict] | None:
+    """The detail and evidence of a failure when a closed-form column,
+    reported under ``key``, differs from the built degrees: on the vertex
+    counts, else at the first differing vertex in stored order, whose
+    pair (read from ``cl2_pairs`` only then) and degrees fill ``detail``."""
+    if actual == column:
+        return None
+    if len(actual) != len(column):
+        counts = {"vertices": len(actual), f"{key}_vertices": len(column)}
+        return f"cl2 has {len(actual)} vertices, the closed form {len(column)}", counts
+    i = next(i for i, (a, c) in enumerate(zip(actual, column)) if a != c)
+    e, u = cl2_pairs(ring)[i]
+    evidence = {"vertex": [e, u], "actual": actual[i], key: column[i]}
+    return detail.format(e=e, u=u, **evidence), evidence
 
 
 @_timed("degree_formula")
 def verify_degree_formula(n: ModRing | int) -> _Outcome:
-    """Compare every vertex degree of cl2(Z_n) against the closed form.
-
-    The built degrees and the predicted ones are compared as two lists,
-    in stored order; only when they differ are they walked with
-    ``cl2_pairs``, to name the first vertex whose degree disagrees."""
+    """Compare every vertex degree of cl2(Z_n) against the closed form,
+    as two columns of ``degree_table``."""
     ring = _ring(n)
     instance = f"n={ring.modulus}"
-    degrees = cl2(ring).degrees()
-    predictions = [predicted for predicted, _ in closed_form_degrees(ring)]
-    if degrees != predictions:
-        for (e, u), actual, predicted in zip(cl2_pairs(ring), degrees, predictions):
-            if actual != predicted:
-                return (
-                    instance,
-                    "fail",
-                    f"vertex ({e},{u}) has degree {actual}, formula gives {predicted}",
-                    {"vertex": [e, u], "actual": actual, "predicted": predicted},
-                )
-    return (
-        instance,
-        "pass",
-        f"all {len(degrees)} vertex degrees match the closed form",
-        {"vertices_checked": len(degrees)},
-    )
+    actual, predicted, _ = degree_table(ring)
+    template = "vertex ({e},{u}) has degree {actual}, formula gives {predicted}"
+    mismatch = _degree_mismatch(ring, actual, predicted, "predicted", template)
+    if mismatch:
+        return instance, "fail", *mismatch
+    detail = f"all {len(actual)} vertex degrees match the closed form"
+    return instance, "pass", detail, {"vertices_checked": len(actual)}
 
 
 @_timed("legacy_degree_report")
@@ -138,28 +142,18 @@ def report_counterexample(n: ModRing | int) -> _Outcome:
     with the actual degree; the corrected form must still match."""
     ring = _ring(n)
     instance = f"n={ring.modulus}"
-    mismatches = []
-    corrected_bad = None
-    for (e, u), actual, corrected, legacy in degree_table(ring):
-        if legacy != actual:
-            mismatches.append(
-                {"vertex": [e, u], "actual": actual, "corrected": corrected, "legacy": legacy}
-            )
-        if corrected != actual and corrected_bad is None:
-            corrected_bad = {"vertex": [e, u], "actual": actual, "corrected": corrected}
-    if corrected_bad is not None:
-        return (
-            instance,
-            "fail",
-            f"corrected formula itself disagrees at {tuple(corrected_bad['vertex'])}",
-            corrected_bad,
-        )
-    return (
-        instance,
-        "pass",
-        f"{len(mismatches)} vertices where the superseded count overshoots",
-        {"legacy_mismatches": mismatches, "count": len(mismatches)},
-    )
+    actual, corrected, legacy = degree_table(ring)
+    template = "corrected formula itself disagrees at ({e}, {u})"
+    mismatch = _degree_mismatch(ring, actual, corrected, "corrected", template)
+    if mismatch:
+        return instance, "fail", *mismatch
+    mismatches = [
+        {"vertex": [e, u], "actual": a, "corrected": c, "legacy": leg}
+        for (e, u), a, c, leg in zip(cl2_pairs(ring), actual, corrected, legacy)
+        if leg != a
+    ]
+    detail = f"{len(mismatches)} vertices where the superseded count overshoots"
+    return instance, "pass", detail, {"legacy_mismatches": mismatches, "count": len(mismatches)}
 
 
 # -- prime powers ---------------------------------------------------------------

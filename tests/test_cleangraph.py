@@ -221,10 +221,14 @@ def test_degree_formula_against_built_graph(n):
 
 @pytest.mark.parametrize("n", range(2, 301))
 def test_closed_form_degrees_match_the_per_vertex_forms(n):
-    # the per-block table against the per-vertex statements it replaces
-    # in the verifiers, vertex for vertex
+    # both per-block columns against the per-vertex statements they
+    # replace in the verifiers, vertex for vertex
     ring = factorize(n)
-    want = [(predicted_degree(ring, e, u), legacy_degree(ring, e, u)) for e, u in cl2_pairs(ring)]
+    pairs = cl2_pairs(ring)
+    want = (
+        [predicted_degree(ring, e, u) for e, u in pairs],
+        [legacy_degree(ring, e, u) for e, u in pairs],
+    )
     assert closed_form_degrees(ring) == want
     assert closed_form_degrees(n) == want
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cleangraphs import cleangraph as cleangraph_module, verify as verify_module
-from cleangraphs.cleangraph import cl1, cl2, clean_graph, idempotent_graph, pair_label
+from cleangraphs.cleangraph import cl1, cl2, cl2_pairs, clean_graph, idempotent_graph, pair_label
 from cleangraphs.graph import Graph, IsoResult, complete_graph
 from cleangraphs.modring import ModRing, UnitPartition, factorize
 from cleangraphs.shuriken import build_shu
@@ -343,9 +343,14 @@ def test_degree_formula_names_the_first_of_four_disagreeing_vertices(monkeypatch
     early = next(edge for edge in g.edges() if first in edge and last not in edge)
     late = next(edge for edge in g.edges() if last in edge and not set(edge) & set(early))
     plant(monkeypatch, "cl2", lambda g: without_edges(g, [late, early]))
-    disagreeing = [row for row in degree_table(30) if row[1] != row[2]]
+    actuals, predictions, _ = degree_table(30)
+    disagreeing = [
+        (pair, actual, predicted)
+        for pair, actual, predicted in zip(cl2_pairs(30), actuals, predictions)
+        if actual != predicted
+    ]
     assert {pair_label(*pair) for pair, *_ in disagreeing} == {*early, *late}
-    (e, u), actual, predicted, _ = disagreeing[0]
+    (e, u), actual, predicted = disagreeing[0]
     assert pair_label(e, u) == first
     r = verify_degree_formula(30)
     assert r.status == "fail"
@@ -393,6 +398,51 @@ def test_counterexample_report_fails_on_a_dropped_edge(monkeypatch):
     assert set(r.evidence) == {"vertex", "actual", "corrected"}
     assert r.evidence["actual"] == r.evidence["corrected"] - 1
     assert r.detail.startswith("corrected formula itself disagrees at")
+
+
+def without_last_vertex(g: Graph) -> Graph:
+    last = g.vertices[-1]
+    return Graph(g.vertices[:-1], [e for e in g.edges() if last not in e])
+
+
+@pytest.mark.parametrize(
+    "defect, vertices",
+    [(without_last_vertex, 5), (lambda g: Graph([*g.vertices, "(0,0)"], g.edges()), 7)],
+    ids=["vertex_dropped", "isolated_vertex_added"],
+)
+def test_both_degree_reports_fail_on_a_wrong_vertex_count(monkeypatch, defect, vertices):
+    # cl2(Z_7) has 6 vertices and its last, (1,6), is isolated: dropping it,
+    # or adding another isolated vertex, leaves every degree that lines up
+    # with the closed form equal to it, so only the vertex count can fail
+    plant(monkeypatch, "cl2", defect)
+    degree, legacy = verify_degree_formula(7), report_counterexample(7)
+    assert (degree.status, legacy.status) == ("fail", "fail")
+    assert degree.detail == legacy.detail == f"cl2 has {vertices} vertices, the closed form 6"
+    assert degree.evidence == {"vertices": vertices, "predicted_vertices": 6}
+    assert legacy.evidence == {"vertices": vertices, "corrected_vertices": 6}
+
+
+def test_sweep_reports_a_dropped_vertex_without_raising(monkeypatch):
+    plant(monkeypatch, "cl2", without_last_vertex)
+    statuses = {r.theorem_id: r.status for r in sweep([7])}
+    assert statuses == {
+        "degree_formula": "fail",
+        "legacy_degree_report": "fail",
+        "master_isomorphism": "fail",
+        "prime_power_components": "fail",
+        "self_inverse_count": "pass",
+    }
+
+
+def test_a_passing_degree_check_names_no_vertex(monkeypatch):
+    # vertices are named only on a mismatch; the pass path compares columns
+    def refuse(r):
+        raise AssertionError("the pass path read cl2_pairs")
+
+    monkeypatch.setattr(verify_module, "cl2_pairs", refuse)
+    r = verify_degree_formula(210)
+    assert r.status == "pass"
+    assert r.evidence == {"vertices_checked": 720}
 
 
 def mirror_joins(shu: Graph, base: Graph, t: int, n: int):
