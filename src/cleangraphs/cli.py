@@ -164,9 +164,11 @@ def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_degrees(args, parser: argparse.ArgumentParser) -> int:
     ring = factorize(args.n)
-    table = zip(cl2_pairs(ring), *verify_mod.degree_table(ring))
+    columns = verify_mod.degree_table(ring)
+    if len(columns[0]) != len(columns[1]):
+        raise ValueError(f"cl2 has {len(columns[0])} vertices, the closed form {len(columns[1])}")
     print(f"cl2(Z_{args.n}): vertex (e,u), actual degree, both formulas")
-    for (e, u), actual, corrected, legacy in table:
+    for (e, u), actual, corrected, legacy in zip(cl2_pairs(ring), *columns):
         flag = " MISMATCH" if legacy != actual else ""
         if corrected != actual:
             flag += " CORRECTED-MISMATCH"

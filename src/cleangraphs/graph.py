@@ -300,12 +300,13 @@ def verify_mapping(g: Graph, h: Graph, perm: Sequence[int]) -> bool:
     A bijection is an isomorphism when it carries every vertex's
     neighbour set exactly onto the neighbour set of its image, which
     also makes the edge counts equal.  The rows of g are walked in index
-    order, each one's image kept as packed little-endian bytes and
-    compared with the row of the image vertex.  A permutation of bits is
-    linear over XOR, so each set bit j of a row's difference with the
-    previous row flips the one byte of the image that holds bit
-    ``perm[j]``, in place; a row with no more set bits than that
-    difference is walked from an empty image instead.
+    order, each one's image kept as an int and compared with the row of
+    the image vertex.  A permutation of bits is linear over XOR, so the
+    image of a row's difference with the previous row is XORed into the
+    last image; a row with no more set bits than that difference is
+    mapped whole instead.  Fewer than FEW bits are XORed in one at a
+    time, bit j as bit ``perm[j]``; more are flipped into a fresh byte
+    image, each at the byte and bit of ``perm[j]``, and read as one int.
     """
     k = g.num_vertices
     if h.num_vertices != k:
@@ -314,17 +315,25 @@ def verify_mapping(g: Graph, h: Graph, perm: Sequence[int]) -> bool:
     # every index once, none negative (it would index h.adj from the end)
     if len(perm) != k or set(perm) != set(range(k)):
         return False
-    size = (k + 7) // 8
-    flips = [(p >> 3, 1 << (p & 7)) for p in perm]  # the byte and bit that bit j maps to
-    image = bytearray(size)
-    prev = 0  # the last row checked
-    for row, target in zip(g.adj, map(h.adj.__getitem__, perm)):
+    flips = []  # the byte and bit that bit j maps to, made on first use
+    image = prev = 0  # the image of the last row checked, and that row
+    for row, count, target in zip(g.adj, map(int.bit_count, g.adj), map(h.adj.__getitem__, perm)):
         diff = row ^ prev
-        if diff.bit_count() >= row.bit_count():
-            image, diff = bytearray(size), row
-        for at, bit in _select(diff, flips):
-            image[at] ^= bit
-        if int.from_bytes(image, "little") != target:
+        bits = diff.bit_count()
+        if bits >= count:
+            image, diff, bits = 0, row, count
+        if bits < FEW:
+            while diff:
+                j = diff.bit_length() - 1
+                image ^= 1 << perm[j]
+                diff ^= 1 << j
+        else:
+            flips = flips or [(p >> 3, 1 << (p & 7)) for p in perm]
+            packed = bytearray((k + 7) // 8)
+            for at, bit in _select(diff, flips):
+                packed[at] ^= bit
+            image ^= int.from_bytes(packed, "little")
+        if image != target:
             return False
         prev = row
     return True

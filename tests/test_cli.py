@@ -18,7 +18,7 @@ from cleangraphs.graph import export
 from cleangraphs.verify import TheoremReport
 
 from graph_helpers import ladder_graph, random_connected_graph
-from test_verify import plant, with_edge
+from test_verify import plant, with_edge, without_last_vertex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,6 +44,16 @@ def test_degrees_table_flags_the_known_counterexample(capsys):
     assert code == 0
     assert "(6,3): actual=6 corrected=6 legacy=7 MISMATCH" in out
     assert "CORRECTED-MISMATCH" not in out
+
+
+def test_degrees_table_refuses_a_cl2_with_a_vertex_missing(capsys, monkeypatch):
+    # the columns are compared whole before any row is printed, so a
+    # shorter cl2 is not printed as a shorter table
+    plant(monkeypatch, "cl2", without_last_vertex)
+    code, out, err = run(capsys, "degrees", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cl2 has 5 vertices, the closed form 6\n"
 
 
 def test_build_cl2_edge_count(capsys):

@@ -1001,6 +1001,91 @@ def test_verify_mapping_agrees_with_its_literal_form(case):
     assert not verify_mapping(g, h, as_permutation(g, h, clash))
 
 
+def first_spoiled(g: Graph, a: int, b: int) -> int | None:
+    """The first row whose check fails once the targets of a and b are
+    swapped in a true witness, None when the swap is an automorphism.
+
+    A row other than a's and b's is spoiled when it holds one of a and b
+    only; a's and b's rows are spoiled when they differ outside a and b."""
+    spoiled = g.adj[a] ^ g.adj[b] | 1 << a | 1 << b
+    if spoiled == 1 << a | 1 << b:
+        return None
+    return (spoiled & -spoiled).bit_length() - 1
+
+
+def swapped(perm: list[int], a: int, b: int) -> list[int]:
+    out = list(perm)
+    out[a], out[b] = perm[b], perm[a]
+    return out
+
+
+def blown_up_path(k: int, run: int, toggles: int, seed: int):
+    """A graph on k vertices whose vertices run in blocks of ``run``, each
+    block joined to the next in full, with ``toggles`` random pairs
+    toggled: a row differs from the one before it in a few bits inside a
+    block and in about four blocks across a boundary, so rows are mapped
+    both a bit at a time and packed.  With it come a copy stored in
+    another vertex order, the map onto it, run and toggles."""
+    rng = random.Random(seed)
+    rows = [0] * k
+    for i, j in combinations(range(k), 2):
+        if j // run - i // run == 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    for i, j in (rng.sample(range(k), 2) for _ in range(toggles)):
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+    perm = rng.sample(range(k), k)
+    image = [0] * k
+    for i, row in enumerate(rows):
+        image[perm[i]] = sum(1 << perm[j] for j in range(k) if row >> j & 1)
+    g = Graph.from_rows([f"v{i}" for i in range(k)], rows)
+    h = Graph.from_rows([f"w{i}" for i in range(k)], image)
+    return g, h, perm, run, toggles
+
+
+@given(
+    st.builds(
+        blown_up_path,
+        st.integers(min_value=2, max_value=90).filter(lambda k: k % 8),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**32),
+    )
+)
+@example(blown_up_path(0, 1, 0, 0))
+@example(blown_up_path(1, 1, 0, 0))
+@example(blown_up_path(61, 16, 0, 1))
+@example(blown_up_path(83, 17, 3, 2))
+@settings(max_examples=150, deadline=None)
+def test_verify_mapping_refuses_swaps_at_both_kinds_of_row(case):
+    g, h, perm, run, toggles = case
+    k = g.num_vertices
+    assert verify_mapping(g, h, perm)
+    assert literal_verify_mapping(g, h, dict(spelt(g, h, perm)))
+    # a row is packed when its difference with the row before, or the row
+    # itself when that has fewer set bits, has FEW or more
+    prev = 0
+    packed = []
+    for row in g.adj:
+        packed.append(min((row ^ prev).bit_count(), row.bit_count()) >= graph_module.FEW)
+        prev = row
+    # for each kind of row, the first pair whose swap spoils such a row first
+    pairs = {}
+    for a, b in combinations(range(k), 2):
+        r = first_spoiled(g, a, b)
+        if r is not None:
+            pairs.setdefault(packed[r], (a, b))
+    for a, b in pairs.values():
+        assert not verify_mapping(g, h, swapped(perm, a, b))
+        assert not literal_verify_mapping(g, h, dict(spelt(g, h, swapped(perm, a, b))))
+    # untoggled, with blocks wide enough to pack and at least four of
+    # them: a swap of 0 with block 2 spoils row 0 first, packed, and one
+    # of 1 with block 2 spoils row 1 first, inside a block
+    if not toggles and graph_module.FEW <= run < k // 3:
+        assert set(pairs) == {False, True}
+
+
 def general_witness(n: int, monkeypatch) -> tuple[Graph, Graph, list[int]]:
     """cl2(n), the Shu graph and the witness that verify_general checks."""
     seen = []
@@ -1016,31 +1101,36 @@ def test_verify_mapping_on_general_witnesses(n, monkeypatch):
     g, h, perm = general_witness(n, monkeypatch)
     assert verify_mapping(g, h, perm)
     assert literal_verify_mapping(g, h, dict(spelt(g, h, perm)))
-    # unless a and b are twins, swapping their targets spoils the rows of
-    # a, b and of every vertex adjacent to one of them only, so the first
-    # spoiled row is the lowest bit of spoiled(a, b); among the first
-    # vertices of the idempotent blocks, take the pair that spoils nothing
-    # before the latest row
+    # among the first vertices of the idempotent blocks, take the pair
+    # that spoils nothing before the latest row
     width = len(factorize(n).units())
     starts = range(0, g.num_vertices, width)
+    a, b = max(combinations(starts, 2), key=lambda ab: first_spoiled(g, *ab) or 0)
+    assert first_spoiled(g, a, b) >= g.num_vertices // 4
+    assert not verify_mapping(g, h, swapped(perm, a, b))
+    assert not literal_verify_mapping(g, h, dict(spelt(g, h, swapped(perm, a, b))))
 
-    def spoiled(a, b):
-        return g.adj[a] ^ g.adj[b] | 1 << a | 1 << b
 
-    def first(row):
-        return (row & -row).bit_length() - 1
-
-    a, b = max(combinations(starts, 2), key=lambda ab: first(spoiled(*ab)))
-    assert first(spoiled(a, b)) >= g.num_vertices // 4
-    swapped = list(perm)
-    swapped[a], swapped[b] = perm[b], perm[a]
-    assert not verify_mapping(g, h, swapped)
-    assert not literal_verify_mapping(g, h, dict(spelt(g, h, swapped)))
+def test_verify_mapping_refuses_a_swap_on_a_wide_prime_witness(monkeypatch):
+    # cl2 of the prime 2999 has 2,998 vertices and rows of at most one
+    # bit, so every row is mapped a bit at a time; take a pair whose swap
+    # spoils no row before the second half
+    g, h, perm = general_witness(2999, monkeypatch)
+    k = g.num_vertices
+    assert verify_mapping(g, h, perm)
+    a, b = next(
+        (a, b)
+        for a, b in combinations(range(k // 2, k), 2)
+        if (first_spoiled(g, a, b) or 0) >= k // 2
+    )
+    assert not verify_mapping(g, h, swapped(perm, a, b))
 
 
 def test_verify_mapping_maps_row_differences(monkeypatch):
     # consecutive rows of cl2(380) mostly differ in one column, so the
-    # check maps a small share of the bits it would map row by row
+    # check maps a small share of the bits it would map row by row; with
+    # FEW at 0 no difference is split a bit at a time, and every one
+    # passes through _select, where its bits are counted
     g, h, perm = general_witness(380, monkeypatch)
     mapped = []
 
@@ -1049,6 +1139,7 @@ def test_verify_mapping_maps_row_differences(monkeypatch):
         return _select(row, values)
 
     monkeypatch.setattr(graph_module, "_select", counting)
+    monkeypatch.setattr(graph_module, "FEW", 0)
     assert verify_mapping(g, h, perm)
     assert sum(mapped) * 10 < 2 * g.num_edges
 

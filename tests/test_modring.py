@@ -5,6 +5,7 @@ Fixed values here were frozen from independent brute-force scans
 functions under test.
 """
 
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -53,6 +54,17 @@ def test_factorization_multiplies_back(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+ODD_PRIMES = [p for p in range(3, 200, 2) if all(p % d for d in range(2, p))]
+
+
+def test_is_prime_refuses_squares_and_products_of_odd_primes():
+    # a square's only factor below its root is the root itself, so a
+    # trial division that stops short of the root calls it prime
+    assert all(is_prime(p) for p in ODD_PRIMES)
+    assert not any(is_prime(p * p) for p in ODD_PRIMES)
+    assert not any(is_prime(p * q) for p, q in combinations(ODD_PRIMES, 2))
 
 
 def test_str_form():
