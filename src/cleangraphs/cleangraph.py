@@ -48,24 +48,13 @@ def cl2_pairs(r: ModRing | int) -> list[tuple[int, int]]:
     return [(e, u) for e in ring.nonzero_idempotents() for u in units]
 
 
-def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
-    """Vertices (e, u), one block of units per idempotent; adjacency
-    ef = 0 or uv = 1.
-
-    The rule is an OR of an idempotent relation and a unit relation, so
-    each row is built whole instead of testing every pair: the row of
-    (e, u) is every block whose f has e*f = 0, plus the column of the
-    inverse of u in every block, minus the vertex itself.  As bitsets a
-    block is a run of m set bits and a column a bit every m places.
-
-    The inverse columns (read from ``ring.inverses()``) are shifted once
-    per call, and each idempotent block's m rows are one comprehension:
-    the runs of the blocks that annihilate e, OR each column.  A row
-    holds its own bit only where one of the two parts put it there, so
-    only those rows are cleared: every row of a block whose e has
-    e*e = 0, that is e = 0, and otherwise the rows of the units that are
-    their own inverse.
-    """
+def _pair_tables(ring: ModRing, idempotents: tuple[int, ...]) -> tuple[list[int], ...]:
+    """The parts of the pair graph's rows, which depend on the ring
+    alone: each unit's inverse column (u^-1 read from
+    ``ring.inverses()``) shifted across the blocks, the columns of the
+    self-inverse units, and each idempotent's annihilator run, the
+    blocks of the f with e*f = 0.  As bitsets a block is a run of m set
+    bits and a column a bit every m places."""
     n = ring.modulus
     units = ring.units()
     m = len(units)
@@ -75,14 +64,41 @@ def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
     one_block = (1 << m) - 1
     first_column = sum(1 << (b * m) for b in range(len(idempotents)))
     columns = [first_column << v for v in inverse_column]
+    runs = [
+        sum(one_block << (b * m) for b, f in enumerate(idempotents) if e * f % n == 0)
+        for e in idempotents
+    ]
+    return columns, self_inverse, runs
+
+
+def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
+    """Vertices (e, u), one block of units per idempotent; adjacency
+    ef = 0 or uv = 1.
+
+    The rule is an OR of an idempotent relation and a unit relation, so
+    each row is built whole instead of testing every pair: the row of
+    (e, u) is e's annihilator run plus the column of the inverse of u,
+    minus the vertex itself.
+
+    The runs and columns are kept with the ring for each idempotent
+    tuple, so only a ring's first build pays for them; every build puts
+    its rows together fresh into a new graph, an idempotent block's m
+    rows in one comprehension.  A row holds its own bit only where one
+    of the two parts put it there, so only those rows are cleared: every
+    row of a block whose e has e*e = 0, that is e = 0, and otherwise the
+    rows of the units that are their own inverse.
+    """
+    key = ("pair tables", idempotents)
+    columns, self_inverse, runs = ring.kept(key, _pair_tables, ring, idempotents)
+    m = len(columns)
     rows: list[int] = []
-    for e in idempotents:
-        block = sum(one_block << (b * m) for b, f in enumerate(idempotents) if e * f % n == 0)
-        block_rows = [block | col for col in columns]
+    for e, run in zip(idempotents, runs):
+        block_rows = [run | col for col in columns]
         own = 1 << len(rows)
         for c in range(m) if e == 0 else self_inverse:
             block_rows[c] ^= own << c
         rows += block_rows
+    units = ring.units()
     return Graph.from_rows((pair_label(e, u) for e in idempotents for u in units), rows)
 
 
@@ -141,16 +157,7 @@ def legacy_degree(r: ModRing | int, e: int, u: int) -> int:
     return predicted_degree(r, e, u) + _ring(r).annihilating_idempotent_count(e)
 
 
-def closed_form_degrees(r: ModRing | int) -> tuple[list[int], list[int]]:
-    """The columns (predicted_degree, legacy_degree) over the cl2
-    vertices, in the order of ``cl2_pairs(r)``.
-
-    Both forms depend on e only through O_e and on u only through
-    whether u*u = 1, so each idempotent block of a column is one
-    comprehension over the units' c.  Like the per-vertex forms this
-    reads the ring, never the graph.
-    """
-    ring = _ring(r)
+def _closed_form_columns(ring: ModRing) -> tuple[list[int], list[int]]:
     n = ring.modulus
     num_id = 1 << ring.num_primes
     num_units = ring.unit_count()
@@ -163,3 +170,19 @@ def closed_form_degrees(r: ModRing | int) -> tuple[list[int], list[int]]:
         predicted += [block - c for c in cs]
         legacy += [block + o_e - c for c in cs]
     return predicted, legacy
+
+
+def closed_form_degrees(r: ModRing | int) -> tuple[list[int], list[int]]:
+    """The columns (predicted_degree, legacy_degree) over the cl2
+    vertices, in the order of ``cl2_pairs(r)``.
+
+    Both forms depend on e only through O_e and on u only through
+    whether u*u = 1, so each idempotent block of a column is one
+    comprehension over the units' c.  Like the per-vertex forms this
+    reads the ring, never the graph, and none of the builders' tables.
+    The columns are computed once per ring and kept with it; each call
+    hands out fresh copies.
+    """
+    ring = _ring(r)
+    predicted, legacy = ring.kept("closed form", _closed_form_columns, ring)
+    return predicted[:], legacy[:]

@@ -242,11 +242,23 @@ class Graph:
         return part
 
     def _components(self) -> Iterator[int]:
-        """Each connected component as a row, in the order of its lowest vertex."""
-        unseen = (1 << len(self.adj)) - 1
+        """Each connected component as a row, in the order of its lowest vertex.
+
+        A component is the lowest vertex not yet in one and what it
+        reaches.  When that vertex has no neighbour, or one neighbour
+        whose only neighbour it is, the component is read off its row
+        (the neighbour cannot lie in an earlier component, or the vertex
+        would too); otherwise it is walked a frontier at a time."""
+        adj = self.adj
+        unseen = (1 << len(adj)) - 1
         while unseen:
-            # the component of the lowest vertex not yet in one
-            part = self._component((unseen & -unseen).bit_length() - 1)
+            low = unseen & -unseen
+            start = low.bit_length() - 1
+            row = adj[start]
+            if row & (row - 1) == 0 and (not row or adj[row.bit_length() - 1] == low):
+                part = low | row
+            else:
+                part = self._component(start)
             unseen ^= part
             yield part
 
@@ -258,11 +270,17 @@ class Graph:
 
     def component_shapes(self) -> list[tuple[int, int]]:
         """(vertices, edges) of each connected component, in the order of
-        its lowest vertex, without building the components: every
-        neighbour of a vertex lies in its component, so a component's
-        edges are half the sum of its vertices' degrees."""
+        its lowest vertex, without building the components.  A connected
+        graph on one vertex has no edge and one on two vertices has one,
+        so such a component is (1, 0) or (2, 1).  Every neighbour of a
+        vertex lies in its component, so a larger component's edges are
+        half the sum of its vertices' degrees."""
         degrees = self.degrees()
-        return [(part.bit_count(), sum(_select(part, degrees)) // 2) for part in self._components()]
+        shapes = []
+        for part in self._components():
+            size = part.bit_count()
+            shapes.append((size, size - 1 if size < 3 else sum(_select(part, degrees)) // 2))
+        return shapes
 
     def is_connected(self) -> bool:
         return not self.adj or self._component(0) == (1 << len(self.adj)) - 1

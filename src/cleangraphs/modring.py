@@ -36,10 +36,7 @@ def _computed_once(method):
 
     @wraps(method)
     def cached(self):
-        result = self._enumerated.get(method.__name__)
-        if result is None:
-            result = self._enumerated[method.__name__] = method(self)
-        return result
+        return self.kept(method.__name__, method, self)
 
     return cached
 
@@ -50,9 +47,14 @@ class ModRing:
 
     ``factorization`` lists (prime, exponent) with strictly increasing
     primes; ``prime_power_moduli`` are the corresponding p_i**n_i whose
-    product is ``modulus``.  ``idempotents()``, ``units()``,
-    ``inverses()`` and ``unit_partition()`` are computed on first call
-    and kept, so every caller of one ring shares them.  The graph
+    product is ``modulus``.  ``idempotents()``, the nonzero and the
+    nontrivial ones, ``units()``, ``inverses()`` and ``unit_partition()``
+    are computed on first call and kept, so every caller of one ring
+    shares them.  Through ``kept`` the graph module keeps its own tables
+    here too: for each idempotent tuple a pair graph is built on, the
+    units' inverse columns shifted across its blocks, the self-inverse
+    columns and each idempotent's annihilator run, and the closed form's
+    two degree columns.  All of them die with the ring.  The graph
     builders read ``inverses()`` and the witnesses ``unit_partition()``;
     neither is computed from the other, so a fault in one cannot hide in
     the check that compares them.
@@ -66,6 +68,14 @@ class ModRing:
     # results of the _computed_once enumerations, by method name; not part
     # of the ring's value, so a warm ring equals, hashes and prints as a cold one
     _enumerated: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def kept(self, key, make, *args):
+        """``make(*args)`` on the first call with ``key``; later calls
+        return the same object, which no caller may mutate."""
+        result = self._enumerated.get(key)
+        if result is None:
+            result = self._enumerated[key] = make(*args)
+        return result
 
     @property
     def num_primes(self) -> int:
@@ -114,9 +124,11 @@ class ModRing:
         """
         return self._compose_all([[0, 1]] * self.num_primes)
 
+    @_computed_once
     def nonzero_idempotents(self) -> tuple[int, ...]:
         return tuple(e for e in self.idempotents() if e != 0)
 
+    @_computed_once
     def nontrivial_idempotents(self) -> tuple[int, ...]:
         return tuple(e for e in self.idempotents() if e not in (0, 1))
 

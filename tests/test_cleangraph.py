@@ -5,7 +5,10 @@ defining predicates (e*f % n == 0, u*v % n == 1) written directly in
 the test helpers below, not from the module under test.
 """
 
+import gc
 import hashlib
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +110,108 @@ def test_cl2_edgelist_digest(n, digest):
 def test_pair_graph_edgelist_digest_at_210(builder, digest):
     text = export(builder(210), "edgelist")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- tables kept with the ring ---------------------------------------------------
+
+BUILDERS = {"cl2": cl2, "clean_graph": clean_graph, "cl1": cl1}
+# the idempotents each builder's blocks are taken from
+BLOCKS = {
+    "cl2": ModRing.nonzero_idempotents,
+    "clean_graph": ModRing.idempotents,
+    "cl1": lambda ring: (0,),
+}
+# interleaved, so that each builder's first and later builds of one ring
+# come between the others'
+INTERLEAVED = ["cl2", "clean_graph", "cl2", "cl1", "clean_graph", "cl1", "cl2", "cl1", "clean_graph"]
+
+
+@pytest.mark.parametrize("n", [*range(2, 401), 330, 390, 420, 462])
+def test_builds_of_one_ring_equal_builds_on_fresh_rings(n):
+    warm = factorize(n)
+    for name in INTERLEAVED:
+        assert_same_store(BUILDERS[name](warm), BUILDERS[name](factorize(n)))
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 210])
+def test_builds_of_one_ring_equal_the_literal_pair_scan(n):
+    warm = factorize(n)
+    want = {name: literal_pair_graph(warm, BLOCKS[name](warm)) for name in BUILDERS}
+    for name in INTERLEAVED:
+        assert_same_store(BUILDERS[name](warm), want[name])
+
+
+@pytest.mark.parametrize("n", [30, 210])
+def test_a_mutated_graph_leaves_the_next_build_alone(n):
+    ring = factorize(n)
+    for builder in BUILDERS.values():
+        first = builder(ring)
+        want = builder(factorize(n)).adj
+        first.adj[0] = 0  # a row overwritten
+        first.link(0, first.num_vertices - 1)  # an edge added
+        first.adj.append(1)
+        assert builder(ring).adj == want
+
+
+def containers(value) -> list:
+    """value and every list, tuple or dict inside it (dataclass fields
+    too), the empty tuple left out because it is one shared object."""
+    if hasattr(value, "__dataclass_fields__"):
+        return [value, *(c for name in value.__dataclass_fields__ for c in containers(getattr(value, name)))]
+    if isinstance(value, dict):
+        return [value, *(c for v in value.values() for c in containers(v))]
+    if isinstance(value, (list, tuple)) and value:
+        return [value, *(c for v in value for c in containers(v))]
+    return []
+
+
+def build_everything(ring: ModRing) -> None:
+    for builder in BUILDERS.values():
+        builder(ring)
+    closed_form_degrees(ring)
+    ring.unit_partition()
+    idempotent_graph(ring)
+
+
+@pytest.mark.parametrize("n", [2, 8, 30, 210])
+def test_two_rings_of_one_modulus_share_no_table(n):
+    first, second = factorize(n), factorize(n)
+    build_everything(first)
+    build_everything(second)
+    assert first._enumerated.keys() == second._enumerated.keys()
+    assert ("pair tables", first.nonzero_idempotents()) in first._enumerated
+    assert "closed form" in first._enumerated
+    ours = {id(c) for c in containers(first._enumerated)}
+    assert ours.isdisjoint(id(c) for c in containers(second._enumerated))
+
+
+def test_ring_tables_die_with_the_ring():
+    ring = factorize(210)
+    g = cl2(ring)
+    columns = ring._enumerated[("pair tables", ring.nonzero_idempotents())][0]
+    closed_form_degrees(ring)
+    predicted = ring._enumerated["closed form"][0]
+    gone = weakref.ref(ring)
+    del ring
+    gc.collect()
+    # the graph holds no reference to the ring, and nothing but the
+    # names here and getrefcount's argument hold the tables
+    assert gone() is None
+    assert sys.getrefcount(columns) == sys.getrefcount(predicted) == 2
+    assert g.num_vertices == 720
+    # a new ring of the same modulus starts with no tables
+    assert factorize(210)._enumerated == {}
+
+
+@pytest.mark.parametrize("n", [2, 30, 210])
+def test_closed_form_hands_out_fresh_columns(n):
+    ring = factorize(n)
+    first, second = closed_form_degrees(ring), closed_form_degrees(ring)
+    assert first == second == closed_form_degrees(factorize(n))
+    assert all(a is not b for a, b in zip(first, second))
+    first[0].append(-1)
+    first[1][0] = -1
+    assert closed_form_degrees(ring) == second
 
 
 def test_idempotent_graph_of_30():

@@ -8,7 +8,7 @@ import random
 import tracemalloc
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 import pytest
@@ -300,6 +300,79 @@ def test_components_partition_vertices(g):
     assert sorted(seen) == sorted(g.vertices)
     assert sum(c.num_edges for c in comps) == g.num_edges
     assert sorted(g.component_shapes()) == sorted((c.num_vertices, c.num_edges) for c in comps)
+
+
+# the pieces of small_unions, as edges on their vertices 0..k-1: a path on
+# three vertices, drawn with an end first, has a first vertex with one
+# neighbour that has two, as has a star drawn with a leaf first
+PIECES = {
+    "K1": (1, []),
+    "K2": (2, [(0, 1)]),
+    "P3": (3, [(0, 1), (1, 2)]),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
+    **{f"star{s}": (s + 1, [(0, j) for j in range(1, s + 1)]) for s in (2, 3, 4)},
+}
+
+
+@st.composite
+def small_unions(draw):
+    """A disjoint union of K1s, K2s, P3s, stars and triangles with its
+    vertices shuffled, so that any vertex of a piece may come first."""
+    names = draw(st.lists(st.sampled_from(sorted(PIECES)), max_size=10))
+    edges: list[tuple[int, int]] = []
+    size = 0
+    for name in names:
+        k, piece = PIECES[name]
+        edges += [(size + a, size + b) for a, b in piece]
+        size += k
+    place = draw(st.permutations(range(size)))  # old vertex i is stored at place[i]
+    labels = [f"v{i}" for i in range(size)]
+    return Graph(labels, [(labels[place[a]], labels[place[b]]) for a, b in edges])
+
+
+def walked_components(g: Graph) -> list[list[int]]:
+    """Reference: each component's vertex indices, found by a frontier
+    walk from its lowest vertex over the edge list, in the order of that
+    vertex."""
+    nbrs: list[set[int]] = [set() for _ in range(g.num_vertices)]
+    for a, b in g.edges():
+        nbrs[g.index[a]].add(g.index[b])
+        nbrs[g.index[b]].add(g.index[a])
+    seen: set[int] = set()
+    parts = []
+    for start in range(g.num_vertices):
+        if start in seen:
+            continue
+        part = frontier = {start}
+        while frontier:
+            frontier = set().union(*(nbrs[v] for v in frontier)) - part
+            part |= frontier
+        seen |= part
+        parts.append(sorted(part))
+    return parts
+
+
+@given(small_unions())
+@example(Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]))  # P3 from an end
+@example(Graph(["a", "b", "c", "d"], [("a", "d"), ("d", "b"), ("d", "c")]))  # star from a leaf
+@example(Graph(["a", "b", "c", "d"], [("a", "d"), ("b", "c")]))  # K2 whose partner comes last
+def test_component_shapes_match_a_frontier_walk(g):
+    parts = walked_components(g)
+    # one part too many is read, so that a split that never ends fails
+    found = islice(g._components(), len(parts) + 1)
+    assert [_select(part, range(g.num_vertices)) for part in found] == parts
+    want = [(len(part), sum(g.adj[i].bit_count() for i in part) // 2) for part in parts]
+    assert g.component_shapes() == want
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 3, 9, 27, 25, 49, 121, 343])
+def test_prime_power_cl2_passes_in_every_branch(q):
+    # q = 2, q = 4, 2^m with m >= 3 and odd prime powers are the four
+    # branches of the prediction; every component is K1 or K2
+    r = verify_module.verify_prime_power(q)
+    assert r.status == "pass", r.detail
+    g = cl2(q)
+    assert g.component_shapes() == [(len(p), len(p) - 1) for p in walked_components(g)]
 
 
 # -- isomorphism -----------------------------------------------------------------

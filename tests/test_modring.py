@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cleangraphs.cleangraph import cl1, cl2, clean_graph, closed_form_degrees
 from cleangraphs.modring import (
     ModRing,
     factorize,
@@ -205,14 +206,33 @@ def test_enumerations_are_computed_once_and_leave_the_ring_value_alone(n):
     units = warm.units()
     assert warm.units() is units
     assert warm.idempotents() is warm.idempotents()
+    assert warm.nonzero_idempotents() is warm.nonzero_idempotents()
+    assert warm.nontrivial_idempotents() is warm.nontrivial_idempotents()
     assert warm.unit_partition() is warm.unit_partition()
+    # the graph module's tables: built on the first build, kept after it
+    for builder in (cl2, clean_graph, cl1, closed_form_degrees):
+        builder(warm)
+    tables = dict(warm._enumerated)
+    assert ("pair tables", warm.nonzero_idempotents()) in tables
+    assert ("pair tables", warm.idempotents()) in tables
+    assert ("pair tables", (0,)) in tables
+    assert "closed form" in tables
+    for builder in (cl2, clean_graph, cl1, closed_form_degrees):
+        builder(warm)
+    assert warm._enumerated.keys() == tables.keys()
+    assert all(warm._enumerated[key] is table for key, table in tables.items())
     assert warm == cold and cold == warm
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold) and str(warm) == str(cold)
+    assert "pair tables" not in repr(warm) and "_enumerated" not in repr(warm)
     # the cached results are the ones a cold ring computes
     assert units == cold.units() == brute_units(n)
     assert warm.idempotents() == cold.idempotents()
+    assert warm.nonzero_idempotents() == tuple(e for e in brute_idempotents(n) if e)
+    assert warm.nontrivial_idempotents() == tuple(e for e in brute_idempotents(n) if e > 1)
     assert warm.unit_partition() == unit_partition(cold)
+    assert cl2(warm).adj == cl2(cold).adj
+    assert closed_form_degrees(warm) == closed_form_degrees(cold)
 
 
 # -- closed form for square roots of one ----------------------------------------

@@ -17,7 +17,7 @@ from cleangraphs.graph import Graph, _joint_refinement, find_isomorphism, verify
 from cleangraphs.verify import verify_prime_power, verify_shu_connectivity
 
 from graph_helpers import disjoint_union, relabel
-from test_graph import PINNED_PAIRS
+from test_graph import PINNED_PAIRS, small_unions
 
 nx = pytest.importorskip("networkx")
 
@@ -105,6 +105,14 @@ def test_components_match_networkx(g):
     ours = {frozenset(c.vertices) for c in g.connected_components()}
     assert ours == {frozenset(c) for c in nx.connected_components(to_nx(g))}
     assert g.is_connected() == (g.num_vertices == 0 or nx.is_connected(to_nx(g)))
+
+
+@given(small_unions())
+def test_components_of_small_unions_match_networkx(g):
+    # K1s and K2s read off their first vertex's row, the rest walked
+    ours = {frozenset(c.vertices): c.num_edges for c in g.connected_components()}
+    ref = to_nx(g)
+    assert ours == {frozenset(c): ref.subgraph(c).number_of_edges() for c in nx.connected_components(ref)}
 
 
 @st.composite
