@@ -248,7 +248,9 @@ class Graph:
         reaches.  When that vertex has no neighbour, or one neighbour
         whose only neighbour it is, the component is read off its row
         (the neighbour cannot lie in an earlier component, or the vertex
-        would too); otherwise it is walked a frontier at a time."""
+        would too); otherwise it is walked a frontier at a time.  A part's
+        vertices leave the unseen set whether it had them or not, so even
+        rows that are not symmetric yield at most V parts."""
         adj = self.adj
         unseen = (1 << len(adj)) - 1
         while unseen:
@@ -259,7 +261,7 @@ class Graph:
                 part = low | row
             else:
                 part = self._component(start)
-            unseen ^= part
+            unseen &= ~part
             yield part
 
     def connected_components(self) -> list["Graph"]:
@@ -377,74 +379,98 @@ def _renumbered(rows: list[int], perm: list[int]) -> list[int]:
     return [int(digits[k - 1 - c :: k], 2) for c in perm]
 
 
+def _count(planes: list[int], row: int) -> None:
+    """Add one to the count of every vertex in ``row``, the counts held
+    as bit planes: plane b has bit v set when bit b of v's count is set.
+    The carry ripples up the planes until it runs out, and a carry out of
+    the top plane is a new plane."""
+    for b, plane in enumerate(planes):
+        if not row:
+            return
+        planes[b] = plane ^ row
+        row &= plane
+    if row:
+        planes.append(row)
+
+
 def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
     """Degree-seeded color refinement run over both graphs at once.
 
     Returns stable colorings (by vertex index) sharing one palette, or
-    None as soon as the color histograms split (which certifies
-    non-isomorphism).  The degree histograms are compared before any
-    neighbour list is built.
+    None as soon as a class cannot be split alike in both graphs (which
+    certifies non-isomorphism).  The degree histograms are compared
+    first.
 
-    Each round gives a vertex its old color together with what its
-    neighbours' colors add to it, read in one of two exact forms.  The
-    sorted form takes the multiset of the neighbours' colors, from
-    neighbour lists built the first time such a round comes.  The
-    counted form keeps as a row each class that the last round split
-    off, every child but the first of each class that split (after the
-    degree coloring, every degree class but the first), and counts the
-    vertex's neighbours in each by one AND and one bit count.  That is
-    the same partition: a vertex's old color fixes its count in every
-    class of the coloring before, so also in the child left out, which
-    holds that count less its siblings' counts.  With V vertices, S
-    classes split off and a degree total of 2E, a round takes the
-    counted form when V·S <= 2E.  Once the histograms agree, V, S and E
-    are the same in both graphs, so both take the same form and share
-    one palette.  A round that splits nothing ends the refinement.
+    A class is a pair of rows, its members in g and in h, and the
+    refinement runs from a worklist of splitter classes by Hopcroft's
+    rule (Paige & Tarjan, 1987; Berkholz, Bonsma & Grohe, 2017).  Each
+    graph's neighbour counts in a splitter are summed into bit planes
+    by adding its members' rows (see ``_count``).  Each plane in turn
+    then cuts every class: the g side splits where the plane cuts it,
+    and the h side must follow, whole where the g side is whole, empty
+    where it is empty and cut to the same size where it is cut;
+    otherwise, or when the two graphs' counts take different numbers of
+    planes, the refinement returns None.  A class that meets no plane
+    on either side passes unchanged.  Of the two parts of a split, the
+    larger keeps the class's place, waiting or not, and the smaller
+    waits; at the start every degree class but the largest waits.  That
+    suffices: the degrees are the counts in all vertices, and a vertex's
+    count in the larger part is its count in the class less its count in
+    the smaller.  Whatever the order of the splitters, the stable
+    partition is the coarsest equitable refinement of the degree
+    partition, so the classes are those of the round-by-round
+    refinement; a color is its class's place in the list.
     """
     cg, ch = g.degrees(), h.degrees()
     if sorted(cg) != sorted(ch):
         return None
-    k, total = len(cg), sum(cg)
-    degrees = list(dict.fromkeys(cg))
-    count, split = len(degrees), degrees[1:]  # classes, and those split off
-
-    def counted(rows: list[int], old: list[int]) -> list[tuple]:
-        # each class split off as a row; a vertex meets it in the bits of their AND
-        members = dict.fromkeys(split, 0)
-        for v, c in enumerate(old):
-            if c in members:
-                members[c] |= 1 << v
-        counts = [list(map(int.bit_count, map(m.__and__, rows))) for m in members.values()]
-        return list(zip(old, *counts))
-
-    def sorted_colors(nbrs: list[list[int]], old: list[int]) -> list[tuple]:
-        get = old.__getitem__
-        return list(zip(old, [tuple(sorted(map(get, row))) for row in nbrs]))
-
-    lists: tuple[list[list[int]], ...] = ()  # g's and h's neighbour lists, once built
-    while True:
-        if k * len(split) <= total:
-            sg, sh = counted(g.adj, cg), counted(h.adj, ch)
-        else:
-            if not lists:
-                everyone = range(k)
-                lists = tuple([_select(row, everyone) for row in x.adj] for x in (g, h))
-            sg, sh = sorted_colors(lists[0], cg), sorted_colors(lists[1], ch)
-        # new colors numbered by first appearance in g; a signature that g
-        # lacks gets k, a color g never has, which splits the histograms
-        palette = dict(zip(dict.fromkeys(sg), range(k)))
-        cg, ch = list(map(palette.__getitem__, sg)), [palette.get(s, k) for s in sh]
-        if sorted(cg) != sorted(ch):
+    sides = {d: [0, 0] for d in cg}
+    for v, d in enumerate(cg):
+        sides[d][0] |= 1 << v
+    for v, d in enumerate(ch):
+        sides[d][1] |= 1 << v
+    gs = [a for a, _ in sides.values()]  # the classes' g sides
+    hs = [b for _, b in sides.values()]  # and their h sides
+    waiting = sorted(range(len(gs)), key=lambda i: gs[i].bit_count())[:-1]
+    while waiting:
+        s = waiting.pop()
+        pg, ph = [], []
+        for row in _select(gs[s], g.adj):
+            _count(pg, row)
+        for row in _select(hs[s], h.adj):
+            _count(ph, row)
+        if len(pg) != len(ph):
             return None
-        if len(palette) == count:
-            return cg, ch
-        # a signature opens with its old color: every child after the
-        # first of the same old color was split off
-        count, split, parents = len(palette), [], set()
-        for signature, c in palette.items():
-            if signature[0] in parents:
-                split.append(c)
-            parents.add(signature[0])
+        for plane_g, plane_h in zip(pg, ph):
+            for i in range(len(gs)):
+                a, b = gs[i], hs[i]
+                cut_a, cut_b = a & plane_g, b & plane_h
+                if cut_a == a:
+                    if cut_b != b:
+                        return None
+                elif cut_a:
+                    size = cut_a.bit_count()
+                    if size != cut_b.bit_count():
+                        return None
+                    rest_a, rest_b = a ^ cut_a, b ^ cut_b
+                    # the larger part keeps the slot, the smaller waits
+                    if 2 * size < a.bit_count():
+                        cut_a, cut_b, rest_a, rest_b = rest_a, rest_b, cut_a, cut_b
+                    gs[i], hs[i] = cut_a, cut_b
+                    waiting.append(len(gs))
+                    gs.append(rest_a)
+                    hs.append(rest_b)
+                elif cut_b:
+                    return None
+    k = len(cg)
+    everyone = range(k)
+    cg, ch = [0] * k, [0] * k
+    for c, (a, b) in enumerate(zip(gs, hs)):
+        for v in _select(a, everyone):
+            cg[v] = c
+        for v in _select(b, everyone):
+            ch[v] = c
+    return cg, ch
 
 
 def _search_order(g: Graph, colors: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -453,14 +479,15 @@ def _search_order(g: Graph, colors: list[int]) -> tuple[list[int], list[list[int
     With the order come the back lists: ``back[d]``, the depths of the
     neighbours of ``order[d]`` that come before it in the order.
 
-    The last three keys never change, so they are ranked once.  The
-    vertices not yet placed are kept, by rank, as rows bucketed by how
-    many placed neighbours they have; the next vertex is the lowest bit
-    of the highest non-empty bucket (labels are distinct, so ranks never
-    tie).  Placing it moves its unplaced neighbours, ``lift``, up one
-    bucket, with one AND for each bucket passed, the highest first so
-    that none moves twice; the rest of its row is its placed neighbours,
-    whose depths are its back list.
+    The last three keys never change, so they are ranked once.  Each
+    vertex's count of placed neighbours is kept in bit planes over the
+    ranks (see ``_count``).  The next vertex is the lowest rank left
+    after ANDing the unplaced set with each plane, from the top plane
+    down, wherever that AND is not empty: the unplaced vertices with the
+    most placed neighbours, the lowest rank first (labels are distinct,
+    so ranks never tie).  Placing it adds its unplaced neighbours,
+    ``lift``, to the counts; the rest of its row is its placed
+    neighbours, whose depths are its back list.
     """
     class_size = Counter(colors)
     labels, k = g.labels, len(g.labels)
@@ -468,33 +495,23 @@ def _search_order(g: Graph, colors: list[int]) -> tuple[list[int], list[list[int
     ranked = sorted(range(k), key=lambda u: (class_size[colors[u]], -degrees[u], labels[u]))
     rows = _renumbered(g.adj, ranked)  # by rank
     unplaced = (1 << k) - 1
-    # buckets[j]: the ranks of the unplaced vertices with j placed neighbours
-    buckets = [unplaced]
+    planes: list[int] = []  # by rank: the placed neighbours of the unplaced vertices
     order: list[int] = []
     back: list[list[int]] = []
     depth_of = [0] * k  # by rank: the depth it was placed at
     while unplaced:
-        while not buckets[-1]:
-            buckets.pop()
-        top = buckets[-1]
+        top = unplaced
+        for plane in reversed(planes):
+            if top & plane:
+                top &= plane
         low = top & -top
-        buckets[-1] = top ^ low
         unplaced ^= low
         r = low.bit_length() - 1
         depth_of[r] = len(order)
         order.append(ranked[r])
         lift = rows[r] & unplaced
         back.append(_select(rows[r] ^ lift, depth_of))
-        if lift:
-            buckets.append(0)
-            j = len(buckets) - 2
-            while lift:
-                moved = buckets[j] & lift
-                if moved:
-                    buckets[j] ^= moved
-                    buckets[j + 1] |= moved
-                    lift ^= moved
-                j -= 1
+        _count(planes, lift)
     return order, back
 
 
@@ -504,7 +521,10 @@ def find_isomorphism(
     """Decide whether g and h are isomorphic, within a node budget.
 
     Pipeline: joint color refinement, whose first step compares the
-    degree histograms, then color-respecting backtracking.  Exhausting
+    degree histograms, then the search order, then color-respecting
+    backtracking.  The refinement and the order count neighbours the one
+    way, in bit planes (see ``_count``): the refinement a splitter's
+    members' rows at a time, the order each placed vertex's.  Exhausting
     the search space proves non-isomorphism; exceeding ``budget`` node
     expansions yields ``inconclusive`` instead of a wrong verdict.  Ties
     in the search order and among candidates are broken by label, so the

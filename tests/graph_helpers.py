@@ -1,7 +1,7 @@
 """Graphs the tests build but the package does not need: paths, empty
-graphs, circulants, ladders, seeded random connected graphs, disjoint
-unions, relabellings, induced subgraphs and one graph of each
-isomorphism type; and a witness spelt in labels.
+graphs, circulants, ladders, seeded random connected graphs and their
+double-edge swaps, disjoint unions, relabellings, induced subgraphs and
+one graph of each isomorphism type; and a witness spelt in labels.
 
 Every helper builds through ``Graph(labels, edges)`` and reads only
 ``vertices`` and ``edges()``, so it holds whatever the adjacency store.
@@ -109,3 +109,19 @@ def random_connected_graph(seed: int, k: int, m: int) -> tuple[Graph, Graph]:
     rng.shuffle(copies)
     copy = relabel(g, dict(zip(names, copies)))
     return g, Graph(sorted(copy.vertices), copy.edges())
+
+
+def double_edge_swaps(g: Graph, tries: int, seed: int) -> Graph:
+    """g after ``tries`` seeded tries at a double-edge swap: two edges ab
+    and cd on four distinct vertices become ad and cb when neither is an
+    edge yet, else the try changes nothing.  Every vertex keeps its
+    degree, so the result has g's degree sequence; g needs two edges."""
+    rng = random.Random(seed)
+    edges = set(g.edges())
+    for _ in range(tries):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        ad, cb = tuple(sorted((a, d))), tuple(sorted((c, b)))
+        if len({a, b, c, d}) == 4 and ad not in edges and cb not in edges:
+            edges -= {(a, b), (c, d)}
+            edges |= {ad, cb}
+    return Graph(g.vertices, sorted(edges))

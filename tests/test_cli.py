@@ -17,7 +17,7 @@ from cleangraphs.cli import THEOREMS, _exit_code, main
 from cleangraphs.graph import export
 from cleangraphs.verify import TheoremReport
 
-from graph_helpers import ladder_graph, random_connected_graph
+from graph_helpers import double_edge_swaps, ladder_graph, random_connected_graph
 from test_verify import plant, with_edge, without_last_vertex
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -506,6 +506,11 @@ def test_verify_all_range_matches_golden(capsys):
         ("random10_relabelled.edgelist", lambda: random_connected_graph(9, 10, 14)[1]),
         ("random60.edgelist", lambda: random_connected_graph(1, 60, 90)[0]),
         ("random60_relabelled.edgelist", lambda: random_connected_graph(1, 60, 90)[1]),
+        ("random12.edgelist", lambda: random_connected_graph(6, 12, 16)[0]),
+        (
+            "random12_swapped.edgelist",
+            lambda: double_edge_swaps(random_connected_graph(6, 12, 16)[0], 1, 6),
+        ),
     ],
 )
 def test_searcher_golden_inputs_are_the_helpers_graphs(fixture, make):
@@ -516,7 +521,7 @@ def test_searcher_golden_inputs_are_the_helpers_graphs(fixture, make):
 
 def test_verify_shu_inheritance_on_the_benchmark_shape_matches_golden(capsys):
     # Shu(2, 4) of a random 10-vertex graph, as in the shu benchmark's
-    # median op: 44 vertices, three refinement rounds
+    # median op: 44 vertices, 20 colour classes
     code, out, _ = run(
         capsys, "verify", "shu-inheritance", "--t", "2", "--n", "4",
         "--input", str(GOLDEN / "random10.edgelist"),
@@ -527,7 +532,7 @@ def test_verify_shu_inheritance_on_the_benchmark_shape_matches_golden(capsys):
 
 
 def test_verify_shu_inheritance_on_a_random_pair_matches_golden(capsys):
-    # Shu has 366 vertices, and its refinement takes both round forms
+    # Shu has 366 vertices, and its splitters' counts reach several bit planes
     code, out, _ = run(
         capsys, "verify", "shu-inheritance", "--t", "2", "--n", "6",
         "--input", str(GOLDEN / "random60.edgelist"),
@@ -535,6 +540,19 @@ def test_verify_shu_inheritance_on_a_random_pair_matches_golden(capsys):
     )
     assert code == 0
     assert out.encode() == _golden_bytes("shu_inheritance_random60.json")
+
+
+def test_verify_shu_inheritance_on_an_equal_degree_pair_matches_golden(capsys):
+    # a random 12-vertex graph against itself after one double-edge swap:
+    # the degree sequences agree, and the refinement alone tells both the
+    # inputs and their Shu(2, 4) apart, so the searcher expands no node
+    code, out, _ = run(
+        capsys, "verify", "shu-inheritance", "--t", "2", "--n", "4",
+        "--input", str(GOLDEN / "random12.edgelist"),
+        "--input2", str(GOLDEN / "random12_swapped.edgelist"), "--json", "--stable",
+    )
+    assert code == 0
+    assert out.encode() == _golden_bytes("shu_inheritance_random12_swapped.json")
 
 
 def general_golden_agrees_with_the_degree_law(n, vertices):
