@@ -26,8 +26,10 @@ _NUMERIC = {t.cli_name: t for t in verify_mod.NUMERIC_THEOREMS.values() if t.cli
 
 
 def _read_graph_file(path: str):
+    """The graph in the edge-list file at ``path``, parsed from the open
+    file a block at a time, so the file's text is never held whole."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edgelist(fh.read())
+        return parse_edgelist(fh)
 
 
 # build family -> (the arguments it needs, the graph built from them)
@@ -151,9 +153,10 @@ def _cmd_build(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_export(args, parser: argparse.ArgumentParser) -> int:
-    # the pieces are written as they come, so the whole text is never held;
-    # a graph that cannot be exported fails before the file is opened
-    pieces = _export_pieces(parse_edgelist(sys.stdin.read()), args.format)
+    # stdin is parsed a block at a time and the pieces are written as they
+    # come, so neither text is held whole; a graph that cannot be exported
+    # fails before the file is opened
+    pieces = _export_pieces(parse_edgelist(sys.stdin), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)

@@ -25,9 +25,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator, Literal, Sequence, TypeVar
+from typing import Iterable, Iterator, Literal, Sequence, TextIO, TypeVar
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -37,8 +37,7 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 DENSE = 16
 FEW = 16
 
-# the parser splits its text into lines a block of at least BLOCK
-# characters at a time
+# the parser reads its text BLOCK characters at a time
 BLOCK = 1 << 16
 
 T = TypeVar("T")
@@ -740,74 +739,109 @@ def export(g: Graph, fmt: str) -> str:
 
     Edges are written a row at a time: every edge of one row shares its
     first vertex, so a row becomes one ``str.join`` over its later
-    neighbours.  The pieces are joined once, so export holds at most the
-    pieces and the result, about twice the output.
+    neighbours.  Each piece is appended to one string that only this
+    function holds, which CPython resizes in place, so export holds the
+    text and one piece, not every piece and a joined copy.
     """
-    return "".join(_export_pieces(g, fmt))
+    text = ""
+    for piece in _export_pieces(g, fmt):
+        text += piece
+    return text
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, split a block at a time.
+def _block_lines(source: str | TextIO) -> Iterator[list[str]]:
+    """The lines of ``source``, a ``str`` or a text stream (anything with
+    ``read(n)``), one block's ``splitlines()`` at a time; in order, they
+    are the text's.
 
-    Each block but the last ends just after the first "\\n" at least
-    BLOCK characters past its start.  Every line boundary but "\\r\\n" is
-    one character, and "\\r\\n" ends in "\\n", so no cut splits a
-    boundary and the blocks' lines, in order, are the text's.
+    Each read asks for BLOCK characters (at least one).  What was carried
+    over and the read are cut just after their last "\\n" into a block,
+    and the rest is carried into the next block.  Every line boundary but
+    "\\r\\n" is one character, and "\\r\\n" ends in "\\n", so no cut splits
+    a boundary.  A stream is never read whole: the reader holds one read,
+    the carried rest and the block being split.
     """
+    if isinstance(source, str):
+        text, at = source, 0
 
-    def blocks() -> Iterator[str]:
-        start, end = 0, len(text)
-        while start < end:
-            cut = text.find("\n", start + BLOCK) + 1 or end
-            yield text[start:cut]
-            start = cut
+        def read(size: int) -> str:
+            nonlocal at
+            at += size
+            return text[at - size : at]
 
-    return chain.from_iterable(map(str.splitlines, blocks()))
+    else:
+        read = source.read
+    size = max(BLOCK, 1)  # a read of no characters would look like the end
+    rest = ""
+    while piece := read(size):
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield (rest + piece[:cut]).splitlines()
+            rest = piece[cut:]
+        else:
+            rest += piece
+    if rest:
+        yield rest.splitlines()
 
 
-def parse_edgelist(text: str) -> Graph:
+def parse_edgelist(source: str | TextIO) -> Graph:
     """Inverse of export(..., "edgelist"); comments and blanks ignored.
 
-    Vertices referenced only by ``e`` lines are added implicitly, so
-    plain two-column edge files load too.  The common ``e a b`` line, a
-    and b distinct, is tested first, and a run of lines sharing their
-    first label looks that label up once.  Each vertex's neighbour
-    indices are collected and its row is built from them once, at the end.
-    The lines are read a block at a time (see ``_lines``), so beyond the
-    text the parser holds one block's lines and the neighbour lists, not
-    a string per line: on an exported edge list, about as much again as
-    the text.
+    ``source`` is the text or a text stream, read a block at a time (see
+    ``_block_lines``): beyond its input the parser holds one block's
+    lines and the rows it builds, and a stream is never read whole.  On
+    an exported edge list that is under half the text.  Vertices
+    referenced only by ``e`` lines are added implicitly, so plain
+    two-column edge files load too.  The common ``e a b`` line, a and b
+    distinct, is tested first.  A run of lines sharing their first label
+    looks that label up once and ORs the second labels' bits into its row
+    once, at the end of the run; each line ORs the first vertex's bit
+    into the second vertex's row.  Lines are counted a block at a time,
+    so a refused line is named by its number without a second read.
     """
     index: dict[str, int] = {}  # label -> index, in the order first seen
-    nbrs: list[list[int]] = []  # nbrs[i]: the indices read as i's neighbours
-    last, i, mine = None, 0, []
-    for fields in map(str.split, _lines(text)):
-        if len(fields) == 3 and fields[0] == "e" and fields[1] != fields[2]:
-            _, a, b = fields
-            if a != last:
-                i = index.get(a)
-                if i is None:
-                    i = index[a] = len(nbrs)
-                    nbrs.append([])
-                last, mine = a, nbrs[i]
-            j = index.get(b)
-            if j is None:
-                j = index[b] = len(nbrs)
-                nbrs.append([])
-            mine.append(j)
-            nbrs[j].append(i)
-        elif not fields or fields[0].startswith("#"):
-            continue
-        elif fields[0] == "v" and len(fields) == 2:
-            if fields[1] not in index:
-                index[fields[1]] = len(nbrs)
-                nbrs.append([])
-        else:
-            # how a line is read depends on its fields alone, so the first
-            # line with these fields is the one that failed
-            lines = enumerate(_lines(text), start=1)
-            ln, raw = next((ln, raw) for ln, raw in lines if raw.split() == fields)
-            if fields[0] == "e" and len(fields) == 3:
-                raise ValueError(f"line {ln}: self-loop at {fields[1]!r} not allowed")
-            raise ValueError(f"line {ln}: cannot parse {raw!r}")
-    return Graph.from_rows(index, [_row_of(js, len(nbrs)) for js in nbrs])
+    rows: list[int] = []
+    # the current run: its first label, that vertex's index and bit, and
+    # the indices read after it
+    last, i, bit, run = None, 0, 0, []
+    before = 0  # the lines of the blocks before this one
+    for lines in _block_lines(source):
+        for fields in map(str.split, lines):
+            if len(fields) == 3 and fields[0] == "e" and fields[1] != fields[2]:
+                _, a, b = fields
+                if a != last:
+                    if run:
+                        rows[i] |= _row_of(run, len(rows))
+                        run = []
+                    i = index.get(a)
+                    if i is None:
+                        i = index[a] = len(rows)
+                        rows.append(0)
+                    last, bit = a, 1 << i
+                j = index.get(b)
+                if j is None:
+                    j = index[b] = len(rows)
+                    rows.append(bit)
+                else:
+                    rows[j] |= bit
+                run.append(j)
+            elif not fields or fields[0].startswith("#"):
+                continue
+            elif fields[0] == "v" and len(fields) == 2:
+                if fields[1] not in index:
+                    index[fields[1]] = len(rows)
+                    rows.append(0)
+            else:
+                # how a line is read depends on its fields alone, so the
+                # first line of this block with these fields is the one
+                # that failed
+                at, raw = next((at, raw) for at, raw in enumerate(lines) if raw.split() == fields)
+                ln = before + at + 1
+                if fields[0] == "e" and len(fields) == 3:
+                    raise ValueError(f"line {ln}: self-loop at {fields[1]!r} not allowed")
+                raise ValueError(f"line {ln}: cannot parse {raw!r}")
+        before += len(lines)
+        del lines  # let this block's lines go before the next block is split
+    if run:
+        rows[i] |= _row_of(run, len(rows))
+    return Graph.from_rows(index, rows)

@@ -1,14 +1,15 @@
 """Graphs the tests build but the package does not need: paths, empty
 graphs, circulants, ladders, seeded random connected graphs and their
 double-edge swaps, disjoint unions, relabellings, induced subgraphs and
-one graph of each isomorphism type; and a witness spelt in labels.
+one graph of each isomorphism type; a witness spelt in labels; and a
+text stream that hands out its text a few characters a read.
 
 Every helper builds through ``Graph(labels, edges)`` and reads only
 ``vertices`` and ``edges()``, so it holds whatever the adjacency store.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, cycle
 from typing import Iterable, Mapping
 
 from cleangraphs.graph import Graph, find_isomorphism
@@ -125,3 +126,20 @@ def double_edge_swaps(g: Graph, tries: int, seed: int) -> Graph:
             edges -= {(a, b), (c, d)}
             edges |= {ad, cb}
     return Graph(g.vertices, sorted(edges))
+
+
+class Trickle:
+    """A text stream over ``text`` whose reads return at most the next
+    of ``steps`` characters (cycled), so a read can end anywhere, between
+    "\\r" and "\\n" included.  A read with no size, or a negative one,
+    raises: whoever reads this stream never reads it whole."""
+
+    def __init__(self, text: str, steps: Iterable[int] = (1, 2, 3)) -> None:
+        self.text, self.at, self.steps = text, 0, cycle(steps)
+
+    def read(self, size: int | None = -1) -> str:
+        if size is None or size < 0:
+            raise RuntimeError("the stream was asked for all of its text")
+        size = min(size, next(self.steps))
+        self.at += size
+        return self.text[self.at - size : self.at]

@@ -4,6 +4,7 @@ main() is called in-process with argv lists; stdin piping is simulated
 through monkeypatching.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -12,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from cleangraphs import cli as cli_module
 from cleangraphs.cleangraph import cl2, closed_form_degrees
 from cleangraphs.cli import THEOREMS, _exit_code, main
 from cleangraphs.graph import export
 from cleangraphs.verify import TheoremReport
 
-from graph_helpers import double_edge_swaps, ladder_graph, random_connected_graph
+from graph_helpers import Trickle, double_edge_swaps, ladder_graph, random_connected_graph
 from test_verify import plant, with_edge, without_last_vertex
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -124,6 +126,59 @@ def test_export_rejects_a_label_ending_in_a_backslash(capsys, monkeypatch, tmp_p
     target = tmp_path / "g.dot"
     assert run(capsys, "export", "--format", "dot", "--out", str(target))[0] == 2
     assert not target.exists()
+
+
+# more than two of the parser's blocks (2^16 characters each) of a path
+# v0 - v1 - ... - v12000, so that a line after it is read mid-parse
+LONG_PATH = "# a path\n\n" + "".join(f"e v{k} v{k + 1}\n" for k in range(12000))
+
+
+def test_a_refused_line_is_named_by_its_number_from_one_pass(capsys, monkeypatch, tmp_path):
+    # neither stdin (a stream that cannot be read whole) nor an --input
+    # file is read a second time to find the refused line
+    text = LONG_PATH + "v v5\ne v1 v2 v3\n"
+    message = "error: line 12004: cannot parse 'e v1 v2 v3'\n"
+    monkeypatch.setattr("sys.stdin", Trickle(text, [4096]))
+    assert run(capsys, "export", "--format", "dot") == (2, "", message)
+    f = tmp_path / "g.edgelist"
+    f.write_text(text, encoding="utf-8")
+    argv = ["verify", "shu-connectivity", "--t", "2", "--n", "4", "--input", str(f)]
+    assert run(capsys, *argv) == (2, "", message)
+    f.write_text(LONG_PATH + "e v7 v7\n", encoding="utf-8")
+    assert run(capsys, *argv) == (2, "", "error: line 12003: self-loop at 'v7' not allowed\n")
+
+
+def test_invalid_utf8_mid_input_exits_2(capsys, monkeypatch, tmp_path):
+    # the decoder's ValueError now comes from a read during the parse
+    data = LONG_PATH.encode() + b"e v\xff w\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run(capsys, "export", "--format", "edgelist")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    f = tmp_path / "g.edgelist"
+    f.write_bytes(data)
+    code, out, err = run(capsys, "build", "shu", "--t", "2", "--n", "4", "--input", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def trickling_open(path, mode="r", encoding=None):
+    """``open`` for the CLI's input files: the file's text as a stream
+    that refuses to be read whole."""
+    assert mode == "r"
+    return contextlib.nullcontext(Trickle(Path(path).read_text(encoding=encoding)))
+
+
+def test_no_input_is_read_whole(capsys, monkeypatch):
+    # export from stdin writes back the very text it read, from reads of
+    # 1-3 characters that end anywhere in a line
+    text = export(cl2(30), "edgelist")
+    monkeypatch.setattr("sys.stdin", Trickle(text))
+    assert run(capsys, "export", "--format", "edgelist") == (0, text, "")
+    # an --input file gives the same graph when it cannot be read whole
+    argv = ["build", "shu", "--t", "2", "--n", "4", "--input", str(GOLDEN / "input_p3.edgelist")]
+    monkeypatch.setattr(cli_module, "open", trickling_open, raising=False)
+    assert run(capsys, *argv) == (0, _golden_bytes("shu_2_4_p3.edgelist").decode(), "")
 
 
 class Discard(io.RawIOBase):

@@ -37,6 +37,7 @@ from cleangraphs.shuriken import build_sh, build_shu, copy_index, copy_label
 from cleangraphs.verify import verify_degree_formula, verify_general
 
 from graph_helpers import (
+    Trickle,
     circulant_graph,
     disjoint_union,
     double_edge_swaps,
@@ -1451,14 +1452,16 @@ def parsed(parse, text):
 @example("v a\n\x0ce\ta a\ne a a\n")  # the self-loop is on line 3
 @settings(max_examples=500, deadline=None)
 def test_parse_edgelist_matches_literal_parser(text):
-    # at blocks short enough for the texts drawn to cross several; set
-    # here, as hypothesis refuses a function-scoped fixture
+    # from the text and from a stream of it, at blocks short enough for
+    # the texts drawn to cross several; set here, as hypothesis refuses a
+    # function-scoped fixture
     expected = parsed(literal_parse_edgelist, text)
     block = graph_module.BLOCK
     try:
         for size in (block, 0, 1, 2, 7):
             graph_module.BLOCK = size
             assert parsed(parse_edgelist, text) == expected
+            assert parsed(parse_edgelist, io.StringIO(text)) == expected
     finally:
         graph_module.BLOCK = block
 
@@ -1467,19 +1470,27 @@ def test_parse_edgelist_matches_literal_parser(text):
 LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
-@given(st.lists(st.sampled_from(["a", "b", " ", "\t", *LINE_BOUNDARIES])), st.integers(min_value=0, max_value=8))
-@example(["a", "\r\n", "b"], 1)  # the block's first "\n" ends a "\r\n"
-@example(["\n", "\n"], 0)  # an empty line at a cut
+@given(
+    st.lists(st.sampled_from(["a", "b", " ", "\t", *LINE_BOUNDARIES])),
+    st.integers(min_value=0, max_value=8),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+)
+@example(["a", "\r\n", "b"], 1, [1])  # the block's first "\n" ends a "\r\n"
+@example(["\n", "\n"], 0, [1])  # an empty line at a cut
+@example(["a", "\r", "\n", "b"], 8, [2])  # a read ends between "\r" and "\n"
+@example(["a", "\r", "a", "\r", "\n"], 8, [3, 1])  # a read holds no "\n"
 @settings(max_examples=500, deadline=None)
-def test_block_reader_matches_splitlines(pieces, block):
+def test_block_reader_matches_splitlines(pieces, block, steps):
+    # from the text, and from a stream that returns 1-3 characters a read
     text = "".join(pieces)
     saved = graph_module.BLOCK
     graph_module.BLOCK = block
     try:
-        lines = list(graph_module._lines(text))
+        for source in (text, Trickle(text, steps)):
+            blocks = graph_module._block_lines(source)
+            assert [line for lines in blocks for line in lines] == text.splitlines()
     finally:
         graph_module.BLOCK = saved
-    assert lines == text.splitlines()
 
 
 # -- memory of the edge-list round trip -----------------------------------------
@@ -1495,16 +1506,19 @@ def traced_peak(f, *args) -> int:
         tracemalloc.stop()
 
 
-def test_parse_edgelist_holds_less_than_twice_its_text():
-    # 1.26 MB of text, about 20 blocks; a list of every line would hold
-    # several times the text
+@pytest.mark.parametrize("stream", [False, True], ids=["str", "stream"])
+def test_parse_edgelist_holds_under_half_its_text(stream):
+    # 1.26 MB of text, about 20 blocks: the parser holds one block's lines
+    # and the rows; a list of every line, or one per neighbour, would hold
+    # more than the text
     text = export(cl2(210), "edgelist")
-    assert traced_peak(parse_edgelist, text) < 2 * len(text)
+    source = io.StringIO(text) if stream else text
+    assert traced_peak(parse_edgelist, source) < 0.5 * len(text)
 
 
 @pytest.mark.parametrize("fmt", ["dot", "json", "edgelist"])
-def test_export_holds_less_than_two_and_a_half_outputs(fmt):
-    # the row strings and the one joined result, with no second copy
+def test_export_holds_under_one_and_a_quarter_outputs(fmt):
+    # the text grows in place a piece at a time, so there is no second copy
     g = cl2(210)
     size = len(export(g, fmt))
-    assert traced_peak(export, g, fmt) < 2.5 * size
+    assert traced_peak(export, g, fmt) < 1.25 * size
