@@ -25,7 +25,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, groupby
 from operator import or_
 from typing import Iterable, Iterator, Literal, Sequence, TextIO, TypeVar
 
@@ -38,7 +38,9 @@ DENSE = 16
 FEW = 16
 
 # the parser reads its text BLOCK characters at a time
-BLOCK = 1 << 16
+BLOCK = 1 << 14
+# the line boundaries of str.splitlines but "\n", and _edge_runs's line mark
+_NOT_PLAIN = ("\x00", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 T = TypeVar("T")
 
@@ -749,17 +751,20 @@ def export(g: Graph, fmt: str) -> str:
     return text
 
 
-def _block_lines(source: str | TextIO) -> Iterator[list[str]]:
-    """The lines of ``source``, a ``str`` or a text stream (anything with
-    ``read(n)``), one block's ``splitlines()`` at a time; in order, they
-    are the text's.
+def _blocks(source: str | TextIO) -> Iterator[str]:
+    """The text of ``source``, a ``str`` or a text stream (anything with
+    ``read(n)``), in blocks that each end at a line boundary (the last
+    may end with the text); in order, their ``splitlines()`` are the
+    text's.
 
     Each read asks for BLOCK characters (at least one).  What was carried
-    over and the read are cut just after their last "\\n" into a block,
-    and the rest is carried into the next block.  Every line boundary but
-    "\\r\\n" is one character, and "\\r\\n" ends in "\\n", so no cut splits
-    a boundary.  A stream is never read whole: the reader holds one read,
-    the carried rest and the block being split.
+    over and the read are cut just after their last "\\n", or after their
+    last "\\r" but for a "\\r" at the very end, into a block, and the rest
+    is carried into the next block.  Every line boundary but "\\r\\n" is
+    one character, "\\r\\n" ends in "\\n", and a "\\r" with a character
+    after it either is a boundary of its own or has a later "\\n", so no
+    cut splits a boundary.  A stream is never read whole: the reader
+    holds one read, the carried rest and the block.
     """
     if isinstance(source, str):
         text, at = source, 0
@@ -774,38 +779,100 @@ def _block_lines(source: str | TextIO) -> Iterator[list[str]]:
     size = max(BLOCK, 1)  # a read of no characters would look like the end
     rest = ""
     while piece := read(size):
-        cut = piece.rfind("\n") + 1
+        # the rest holds no "\n", and no "\r" but perhaps at its end, so
+        # only that "\r" and the read are searched
+        start = max(len(rest) - 1, 0)
+        rest += piece
+        cut = max(rest.rfind("\n", start), rest.rfind("\r", start, -1)) + 1
         if cut:
-            yield (rest + piece[:cut]).splitlines()
-            rest = piece[cut:]
-        else:
-            rest += piece
+            yield rest[:cut]
+            rest = rest[cut:]
     if rest:
-        yield rest.splitlines()
+        yield rest
+
+
+def _edge_runs(block: str, index: dict[str, int]) -> list[tuple[int, list[int]]] | None:
+    """The edges of a block of plain ``e a b`` lines as runs ``(i, js)``:
+    each run is the lines that share the first vertex i, in order, and js
+    their second vertices; None for any other block.
+
+    A block is plain when it starts with "e ", its only line boundary is
+    "\\n" (it holds none of _NOT_PLAIN), every line is exactly the fields
+    e, a and b, every label is in ``index`` and no line has a == b.  The
+    "\\n"s are marked with "\\x00" and the block is split once, so the
+    fields of a plain block with L lines are 4L tokens with the mark at
+    every 4th place and "e" at the places after them.  The second labels
+    are looked up by one ``map``, runs are cut where neighbouring first
+    labels differ (``groupby``) and a run's first label is looked up once,
+    so the loop here turns once a run, not once a line.  Nothing is
+    changed and no row is built, so a refused block can be read line by
+    line from the start, and the runs hold only indices.
+    """
+    if not block.startswith("e ") or any(map(block.__contains__, _NOT_PLAIN)):
+        return None
+    lines = block.count("\n")
+    tokens = block.replace("\n", " \x00 ").split()
+    if len(tokens) != 4 * lines or tokens[3::4].count("\x00") != lines or tokens[::4].count("e") != lines:
+        return None
+    firsts = tokens[1::4]
+    try:
+        seconds = list(map(index.__getitem__, tokens[2::4]))
+    except KeyError:  # a label not seen before: its place is the line reader's
+        return None
+    del tokens
+    runs, s = [], 0
+    for a, run in groupby(firsts):
+        i, t = index.get(a), s + len(list(run))
+        if i is None:
+            return None
+        js = seconds[s:t]
+        if i in js:  # a self-loop
+            return None
+        runs.append((i, js))
+        s = t
+    return runs
 
 
 def parse_edgelist(source: str | TextIO) -> Graph:
     """Inverse of export(..., "edgelist"); comments and blanks ignored.
 
     ``source`` is the text or a text stream, read a block at a time (see
-    ``_block_lines``): beyond its input the parser holds one block's
-    lines and the rows it builds, and a stream is never read whole.  On
-    an exported edge list that is under half the text.  Vertices
+    ``_blocks``): beyond its input the parser holds one block, its tokens
+    or lines and the rows it builds, and a stream is never read whole.
+    On an exported edge list that is under half the text.  Vertices
     referenced only by ``e`` lines are added implicitly, so plain
-    two-column edge files load too.  The common ``e a b`` line, a and b
-    distinct, is tested first.  A run of lines sharing their first label
-    looks that label up once and ORs the second labels' bits into its row
-    once, at the end of the run; each line ORs the first vertex's bit
-    into the second vertex's row.  Lines are counted a block at a time,
-    so a refused line is named by its number without a second read.
+    two-column edge files load too.
+
+    A block of plain ``e a b`` lines on known labels is read as tokens
+    (see ``_edge_runs``): each run of lines sharing their first vertex
+    ORs the second vertices' bits into its row once, and each line ORs
+    the first vertex's bit into the second vertex's row.  Any other block
+    is read line by line, the only reader of headers, ``v`` lines,
+    comments, new labels and refused lines, so vertex order and every
+    message are the line reader's.  There the common ``e a b`` line, a
+    and b distinct, is tested first, and a run of lines sharing their
+    first label looks that label up once and ORs its row once, at the
+    end of the run.  Lines are counted a block at a time, so a refused
+    line is named by its number without a second read.
     """
     index: dict[str, int] = {}  # label -> index, in the order first seen
     rows: list[int] = []
-    # the current run: its first label, that vertex's index and bit, and
-    # the indices read after it
+    # the line reader's current run: its first label, that vertex's index
+    # and bit, and the indices read after it
     last, i, bit, run = None, 0, 0, []
     before = 0  # the lines of the blocks before this one
-    for lines in _block_lines(source):
+    for block in _blocks(source):
+        runs = _edge_runs(block, index)
+        if runs is not None:
+            width = len(rows)
+            for first, js in runs:
+                rows[first] |= _row_of(js, width)
+                back = 1 << first
+                for j in js:
+                    rows[j] |= back
+                before += len(js)
+            continue
+        lines = block.splitlines()
         for fields in map(str.split, lines):
             if len(fields) == 3 and fields[0] == "e" and fields[1] != fields[2]:
                 _, a, b = fields

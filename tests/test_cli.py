@@ -128,7 +128,7 @@ def test_export_rejects_a_label_ending_in_a_backslash(capsys, monkeypatch, tmp_p
     assert not target.exists()
 
 
-# more than two of the parser's blocks (2^16 characters each) of a path
+# more than two of the parser's blocks (2^14 characters each) of a path
 # v0 - v1 - ... - v12000, so that a line after it is read mid-parse
 LONG_PATH = "# a path\n\n" + "".join(f"e v{k} v{k + 1}\n" for k in range(12000))
 

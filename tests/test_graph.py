@@ -1466,6 +1466,77 @@ def test_parse_edgelist_matches_literal_parser(text):
         graph_module.BLOCK = block
 
 
+@st.composite
+def plain_edge_texts(draw):
+    """Vertices declared by ``v`` lines, then mostly ``e a b`` lines with
+    one blank between fields and "\\n" after each: the blocks the token
+    reader takes.  Now and then a label is undeclared or repeated (a
+    self-loop), a line has another shape, or a line ends in another
+    boundary, and the reader must refuse the block."""
+    labels = ["a", "b", "c", "e", "v", "#e", "\x00", "x\x00y", "é"]
+    declared = draw(st.lists(st.sampled_from(labels), unique=True, min_size=1))
+    used = st.sampled_from(declared) if draw(st.integers(min_value=0, max_value=3)) else st.sampled_from(labels)
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        a, b = draw(used), draw(used)
+        if draw(st.integers(min_value=0, max_value=9)):
+            line = f"e {a} {b}"
+        else:
+            line = draw(st.sampled_from([f"e {a}", f"e {a} {b} {b}", f"edge {a} {b}", f"v {a}", f"# {a}", "", f" e {a} {b}"]))
+        lines.append(line + draw(st.sampled_from(["\n"] * 12 + ["\r\n", "\x0c\n", "\r", "\x85"])))
+    return "".join(f"v {v}\n" for v in declared) + "".join(lines)
+
+
+@given(plain_edge_texts())
+@example("v a\nv b\nv c\ne a b\ne a c\ne b c\n")
+@example("v a\nv b\ne a b\ne b b\n")  # a self-loop
+@example("v a\nv b\ne a b\ne a c\ne b c\n")  # an undeclared second label
+@example("v a\nv b\ne a b\ne c a\n")  # an undeclared first label
+@example("v e\nv v\nv #e\ne e v\ne e #e\ne #e v\n")  # the line keywords and a comment mark
+@example("v a\nv \x00\nv x\x00y\ne a \x00\ne \x00 x\x00y\n")  # labels holding the line mark
+@example("v a\nv c\nv d\nv e\nv \x00\ne a\ne e c d\n")  # 4L tokens, marks misplaced
+@example("v a\nv b\ne a b\x0c\ne a b\ne a a\n")  # a line boundary that is not "\\n"
+@example("v a\nv b\ne a b\nv a b\n")  # 4L tokens, a line that is not an edge
+@example("v a\nv b\ne a b c x a b\n")  # a mark at every 4th place, but 8 tokens for one line
+@example("v a\nv b\ne a b\ne a b")  # no "\\n" after the last line
+@example("v a\nv b\ne a b\nx")  # a refused last line with no "\\n" after it
+@settings(max_examples=300, deadline=None)
+def test_plain_edge_blocks_match_literal_parser(text):
+    # at every BLOCK size up to the text's, so that the lines fall into
+    # blocks every way they can, from the text and from a stream
+    expected = parsed(literal_parse_edgelist, text)
+    block = graph_module.BLOCK
+    try:
+        for size in (block, *range(len(text) + 1)):
+            graph_module.BLOCK = size
+            assert parsed(parse_edgelist, text) == expected
+            assert parsed(parse_edgelist, Trickle(text, [size or 1])) == expected
+    finally:
+        graph_module.BLOCK = block
+
+
+def test_exported_edge_lines_are_read_as_tokens(monkeypatch):
+    # every block that the parser reads after the vertex lines of an
+    # exported edge list comes back from _edge_runs as runs, not refused
+    # to the line reader
+    text = export(cl2(380), "edgelist")
+    edges_from = text.index("\n", text.rindex("\nv ") + 1) + 1
+    read, edge_runs = [], graph_module._edge_runs
+
+    def spy(block, index):
+        runs = edge_runs(block, index)
+        read.append((block, runs is not None))
+        return runs
+
+    monkeypatch.setattr(graph_module, "_edge_runs", spy)
+    parse_edgelist(text)
+    at = 0
+    for block, as_tokens in read:
+        assert as_tokens or at < edges_from, f"the block at {at} was read line by line"
+        at += len(block)
+    assert at == len(text) and len(read) > 100
+
+
 # every sequence that str.splitlines takes for a line boundary
 LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -1487,10 +1558,26 @@ def test_block_reader_matches_splitlines(pieces, block, steps):
     graph_module.BLOCK = block
     try:
         for source in (text, Trickle(text, steps)):
-            blocks = graph_module._block_lines(source)
-            assert [line for lines in blocks for line in lines] == text.splitlines()
+            blocks = graph_module._blocks(source)
+            assert [line for block in blocks for line in block.splitlines()] == text.splitlines()
     finally:
         graph_module.BLOCK = saved
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["str", "stream"])
+def test_block_reader_cuts_at_a_carriage_return_that_ended_a_read(stream):
+    # a "\r" that ends a read may start a "\r\n", so the reader carries
+    # it until the next read shows what follows, and then cuts after it:
+    # a text with "\r" line ends read one character at a time is cut a
+    # line at a time, not carried whole
+    text = "a\rb\rc\r\nd\r"
+    saved = graph_module.BLOCK
+    graph_module.BLOCK = 1
+    try:
+        blocks = list(graph_module._blocks(Trickle(text, [1]) if stream else text))
+    finally:
+        graph_module.BLOCK = saved
+    assert blocks == ["a\r", "b\r", "c\r\n", "d\r"]
 
 
 # -- memory of the edge-list round trip -----------------------------------------
@@ -1506,12 +1593,23 @@ def traced_peak(f, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("stream", [False, True], ids=["str", "stream"])
-def test_parse_edgelist_holds_under_half_its_text(stream):
-    # 1.26 MB of text, about 20 blocks: the parser holds one block's lines
-    # and the rows; a list of every line, or one per neighbour, would hold
-    # more than the text
-    text = export(cl2(210), "edgelist")
+@pytest.mark.parametrize(
+    "stream, end",
+    [
+        pytest.param(False, "\n", id="str"),
+        pytest.param(True, "\n", id="stream"),
+        pytest.param(False, "\r\n", id="str-crlf"),
+        pytest.param(True, "\r\n", id="stream-crlf"),
+        pytest.param(False, "\r", id="str-cr"),
+        pytest.param(True, "\r", id="stream-cr"),
+    ],
+)
+def test_parse_edgelist_holds_under_half_its_text(stream, end):
+    # 1.26 MB of text, about 80 blocks: the parser holds one block's tokens
+    # or lines and the rows; a list of every line, or one per neighbour,
+    # would hold more than the text, and so would a block that is not cut
+    # at "\r" line ends
+    text = export(cl2(210), "edgelist").replace("\n", end)
     source = io.StringIO(text) if stream else text
     assert traced_peak(parse_edgelist, source) < 0.5 * len(text)
 
