@@ -5,8 +5,8 @@ edge-list format), export (format conversion from stdin), degrees
 (degree table with formula comparison), verify (theorem checks).
 
 Exit codes: 0 success or all checks passed, 1 at least one check
-failed, 2 usage error or out-of-scope instance, 3 checks ran but some
-were inconclusive and none failed.
+failed, 2 usage error, out-of-scope instance or out of memory, 3 checks
+ran but some were inconclusive and none failed.
 """
 
 from __future__ import annotations
@@ -247,6 +247,9 @@ def main(argv=None) -> int:
         return args.run(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -39,8 +39,8 @@ FEW = 16
 
 # the parser reads its text BLOCK characters at a time
 BLOCK = 1 << 14
-# the line boundaries of str.splitlines but "\n", and _edge_runs's line mark
-_NOT_PLAIN = ("\x00", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# str.splitlines's line boundaries but "\n" and "\r", and _edge_runs's line mark
+_NOT_PLAIN = ("\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 T = TypeVar("T")
 
@@ -796,18 +796,21 @@ def _edge_runs(block: str, index: dict[str, int]) -> list[tuple[int, list[int]]]
     each run is the lines that share the first vertex i, in order, and js
     their second vertices; None for any other block.
 
-    A block is plain when it starts with "e ", its only line boundary is
-    "\\n" (it holds none of _NOT_PLAIN), every line is exactly the fields
-    e, a and b, every label is in ``index`` and no line has a == b.  The
-    "\\n"s are marked with "\\x00" and the block is split once, so the
-    fields of a plain block with L lines are 4L tokens with the mark at
-    every 4th place and "e" at the places after them.  The second labels
+    A block is plain when it starts with "e ", its line boundaries are
+    "\\n", "\\r\\n" or "\\r" (it holds none of _NOT_PLAIN), every line is
+    exactly the fields e, a and b, every label is in ``index`` and no line
+    has a == b.  Each "\\r\\n" and then each "\\r" is made "\\n" (``_blocks``
+    never cuts inside a "\\r\\n"), the "\\n"s are marked with "\\x00" and
+    the block is split once, so a plain block of L lines is 4L tokens with
+    the mark at every 4th place and "e" after each mark.  The second labels
     are looked up by one ``map``, runs are cut where neighbouring first
     labels differ (``groupby``) and a run's first label is looked up once,
     so the loop here turns once a run, not once a line.  Nothing is
     changed and no row is built, so a refused block can be read line by
     line from the start, and the runs hold only indices.
     """
+    if "\r" in block:
+        block = block.replace("\r\n", "\n").replace("\r", "\n")
     if not block.startswith("e ") or any(map(block.__contains__, _NOT_PLAIN)):
         return None
     lines = block.count("\n")
@@ -850,16 +853,12 @@ def parse_edgelist(source: str | TextIO) -> Graph:
     is read line by line, the only reader of headers, ``v`` lines,
     comments, new labels and refused lines, so vertex order and every
     message are the line reader's.  There the common ``e a b`` line, a
-    and b distinct, is tested first, and a run of lines sharing their
-    first label looks that label up once and ORs its row once, at the
-    end of the run.  Lines are counted a block at a time, so a refused
-    line is named by its number without a second read.
+    and b distinct, is tested first and links its two vertices at once.
+    Lines are numbered as they are read, so a refused line is named by
+    its number and its text without a second read or a search.
     """
     index: dict[str, int] = {}  # label -> index, in the order first seen
     rows: list[int] = []
-    # the line reader's current run: its first label, that vertex's index
-    # and bit, and the indices read after it
-    last, i, bit, run = None, 0, 0, []
     before = 0  # the lines of the blocks before this one
     for block in _blocks(source):
         runs = _edge_runs(block, index)
@@ -873,25 +872,19 @@ def parse_edgelist(source: str | TextIO) -> Graph:
                 before += len(js)
             continue
         lines = block.splitlines()
-        for fields in map(str.split, lines):
+        for at, fields in enumerate(map(str.split, lines)):
             if len(fields) == 3 and fields[0] == "e" and fields[1] != fields[2]:
                 _, a, b = fields
-                if a != last:
-                    if run:
-                        rows[i] |= _row_of(run, len(rows))
-                        run = []
-                    i = index.get(a)
-                    if i is None:
-                        i = index[a] = len(rows)
-                        rows.append(0)
-                    last, bit = a, 1 << i
+                i = index.get(a)
+                if i is None:
+                    i = index[a] = len(rows)
+                    rows.append(0)
                 j = index.get(b)
                 if j is None:
                     j = index[b] = len(rows)
-                    rows.append(bit)
-                else:
-                    rows[j] |= bit
-                run.append(j)
+                    rows.append(0)
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
             elif not fields or fields[0].startswith("#"):
                 continue
             elif fields[0] == "v" and len(fields) == 2:
@@ -899,16 +892,10 @@ def parse_edgelist(source: str | TextIO) -> Graph:
                     index[fields[1]] = len(rows)
                     rows.append(0)
             else:
-                # how a line is read depends on its fields alone, so the
-                # first line of this block with these fields is the one
-                # that failed
-                at, raw = next((at, raw) for at, raw in enumerate(lines) if raw.split() == fields)
                 ln = before + at + 1
                 if fields[0] == "e" and len(fields) == 3:
                     raise ValueError(f"line {ln}: self-loop at {fields[1]!r} not allowed")
-                raise ValueError(f"line {ln}: cannot parse {raw!r}")
+                raise ValueError(f"line {ln}: cannot parse {lines[at]!r}")
         before += len(lines)
         del lines  # let this block's lines go before the next block is split
-    if run:
-        rows[i] |= _row_of(run, len(rows))
     return Graph.from_rows(index, rows)

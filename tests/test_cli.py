@@ -8,11 +8,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import cleangraphs
 from cleangraphs import cli as cli_module
 from cleangraphs.cleangraph import cl2, closed_form_degrees
 from cleangraphs.cli import THEOREMS, _exit_code, main
@@ -86,6 +90,25 @@ def test_build_rejects_bad_modulus(capsys):
     code, _, err = run(capsys, "build", "cl2", "1")
     assert code == 2
     assert "modulus" in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_build_out_of_memory_exits_2_with_one_error_line():
+    # cl2(30030) has 362,880 vertices, about 16.5 GB of rows; in a child
+    # whose address space is capped at 1 GiB the build runs out of memory
+    # within a second, and no test here can reach more than that
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    src = str(Path(cleangraphs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "cleangraphs.cli", "build", "cl2", "30030"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_export_pipe(capsys, monkeypatch):

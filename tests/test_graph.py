@@ -1470,9 +1470,10 @@ def test_parse_edgelist_matches_literal_parser(text):
 def plain_edge_texts(draw):
     """Vertices declared by ``v`` lines, then mostly ``e a b`` lines with
     one blank between fields and "\\n" after each: the blocks the token
-    reader takes.  Now and then a label is undeclared or repeated (a
-    self-loop), a line has another shape, or a line ends in another
-    boundary, and the reader must refuse the block."""
+    reader takes.  A line that ends in "\\r\\n" or "\\r" keeps its block
+    plain.  Now and then a label is undeclared or repeated (a self-loop),
+    a line has another shape, or a line ends in "\\x0c\\n" or "\\x85",
+    and the reader must refuse the block."""
     labels = ["a", "b", "c", "e", "v", "#e", "\x00", "x\x00y", "é"]
     declared = draw(st.lists(st.sampled_from(labels), unique=True, min_size=1))
     used = st.sampled_from(declared) if draw(st.integers(min_value=0, max_value=3)) else st.sampled_from(labels)
@@ -1500,6 +1501,9 @@ def plain_edge_texts(draw):
 @example("v a\nv b\ne a b c x a b\n")  # a mark at every 4th place, but 8 tokens for one line
 @example("v a\nv b\ne a b\ne a b")  # no "\\n" after the last line
 @example("v a\nv b\ne a b\nx")  # a refused last line with no "\\n" after it
+@example("v a\r\nv b\r\nv c\r\ne a b\r\ne a c\r\ne b c\r\n")  # "\\r\\n" line ends
+@example("v a\rv b\rv c\re a b\re a c\re b c\r")  # lone "\\r" line ends
+@example("v a\nv b\rv c\r\ne a b\re a c\ne b c\r\ne c a\r")  # "\\r", "\\n" and "\\r\\n" mixed
 @settings(max_examples=300, deadline=None)
 def test_plain_edge_blocks_match_literal_parser(text):
     # at every BLOCK size up to the text's, so that the lines fall into
@@ -1515,12 +1519,13 @@ def test_plain_edge_blocks_match_literal_parser(text):
         graph_module.BLOCK = block
 
 
-def test_exported_edge_lines_are_read_as_tokens(monkeypatch):
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_exported_edge_lines_are_read_as_tokens(monkeypatch, end):
     # every block that the parser reads after the vertex lines of an
-    # exported edge list comes back from _edge_runs as runs, not refused
-    # to the line reader
-    text = export(cl2(380), "edgelist")
-    edges_from = text.index("\n", text.rindex("\nv ") + 1) + 1
+    # exported edge list, with any of the three common line ends, comes
+    # back from _edge_runs as runs, not refused to the line reader
+    text = export(cl2(380), "edgelist").replace("\n", end)
+    edges_from = text.index(end, text.rindex(end + "v ") + len(end)) + len(end)
     read, edge_runs = [], graph_module._edge_runs
 
     def spy(block, index):
