@@ -37,6 +37,13 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 DENSE = 16
 FEW = 16
 
+# a bit matrix whose rows hold fewer than SPARSE set bits on average is
+# transposed a bit at a time; else one of fewer than NARROW rows through a
+# string of binary digits, and a wider one by tiles in runs of STRIP rows
+SPARSE = 4
+NARROW = 80
+STRIP = 256
+
 # the parser reads its text BLOCK characters at a time
 BLOCK = 1 << 14
 # str.splitlines's line boundaries but "\n" and "\r", and _edge_runs's line mark
@@ -99,12 +106,99 @@ def _row_of(indices: list[int], width: int) -> int:
     width plus the indices rather than their product.
     """
     if len(indices) < FEW:
-        return reduce(or_, map((1).__lshift__, indices), 0)
+        row = 0
+        for j in indices:
+            row |= 1 << j
+        return row
     digits = bytearray(b"0") * width
     for j in indices:
         digits[j] = 49  # ord("1")
     digits.reverse()
     return int(digits, 2)
+
+
+def _transposed(rows: list[int]) -> list[int]:
+    """The transpose of the square bit matrix ``rows``: bit i of
+    ``out[j]`` is bit j of ``rows[i]``.  Every row must be below
+    ``1 << len(rows)``; the rows need not be symmetric.
+
+    Rows holding fewer than SPARSE set bits on average are moved a bit at
+    a time, since the other methods cost V² however few bits are set.
+    Otherwise a matrix of fewer than NARROW rows goes through one string
+    of binary digits, and a wider one through 8x8 tiles.
+    """
+    k = len(rows)
+    if sum(map(int.bit_count, rows)) < SPARSE * k:
+        return _transposed_by_bits(rows)
+    if k < NARROW:
+        return _transposed_by_digits(rows)
+    return _transposed_by_tiles(rows)
+
+
+def _transposed_by_bits(rows: list[int]) -> list[int]:
+    """``_transposed`` one set bit at a time: bit j of row i is ORed into
+    row j of the result."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        if row:
+            bit = 1 << i
+            while row:
+                j = row.bit_length() - 1
+                out[j] |= bit
+                row ^= 1 << j
+    return out
+
+
+def _transposed_by_digits(rows: list[int]) -> list[int]:
+    """``_transposed`` through one string of V² binary digits.
+
+    The rows are written row V-1 first and each row's highest bit
+    first, so bit j of row i is the digit at ``(V-1-i) * V + V-1-j``.
+    Column j is then the strided slice from ``V-1-j`` in steps of V,
+    which reads it highest row first, ready to parse.
+    """
+    k = len(rows)
+    top = 1 << k  # a leading 1 keeps the row's leading zeros
+    digits = "".join([bin(row | top)[3:] for row in reversed(rows)])
+    return [int(digits[s::k], 2) for s in range(k - 1, -1, -1)]
+
+
+def _transposed_by_tiles(rows: list[int]) -> list[int]:
+    """``_transposed`` by 8x8 tiles: a tile is byte b of the rows 8p
+    to 8p + 7.
+
+    A run of STRIP rows, each written as little-endian bytes, is read as
+    one int, row after row, so the bit at column c of its row r is bit
+    ``r * W + c``, W the padded row width.  Three masked swaps transpose
+    every tile of the run at once (Warren, *Hacker's Delight*, 2nd ed.,
+    §7-3): for j = 4, 2, 1 a tile's bit (u, v + j) is swapped with bit
+    (u + j, v) wherever bit j is clear in both u and v, a distance of
+    ``j * (W - 1)``.  The tile at rows 8p..8p+7 and byte b then holds
+    at its row u the bits of byte p of column 8b + u, so column j is the
+    strided slice of the tiled matrix's bytes that takes byte j // 8 of
+    row j % 8 of each run of 8 rows.
+    """
+    k = len(rows)
+    size = (k + 7) // 8  # bytes a row
+    width = 8 * size
+    zero = bytes(size)
+    swaps = []
+    for j, pattern in (4, 0xF0), (2, 0xCC), (1, 0xAA):
+        # the bits (u, v + j) of each tile: bit j set in the column and clear in the row
+        ones = bytes([pattern]) * size
+        eight = b"".join([zero if u & j else ones for u in range(8)])
+        swaps.append((j * (width - 1), int.from_bytes(eight * (STRIP // 8), "little")))
+    tiled = bytearray()
+    for at in range(0, k, STRIP):
+        strip = rows[at : at + STRIP]
+        strip += [0] * (-len(strip) % 8)
+        x = int.from_bytes(b"".join([row.to_bytes(size, "little") for row in strip]), "little")
+        for shift, mask in swaps:
+            t = (x >> shift ^ x) & mask
+            x ^= t ^ t << shift
+        tiled += x.to_bytes(len(strip) * size, "little")
+    step = 8 * size  # the bytes of 8 rows
+    return [int.from_bytes(tiled[(j & 7) * size + (j >> 3) :: step], "little") for j in range(k)]
 
 
 class Graph:
@@ -366,18 +460,13 @@ def _renumbered(rows: list[int], perm: list[int]) -> list[int]:
     position in ``perm``.
 
     The rows must be symmetric, as every ``Graph`` keeps them.  The rows
-    ``rows[perm[i]]`` are written as one string of binary digits, row
-    ``perm[k - 1]`` first and each row's highest bit first, so the string
-    is the bit matrix with row i holding bit j at ``i * k + j``, reversed.
-    By symmetry, bit s of new row r is bit ``perm[r]`` of ``rows[perm[s]]``,
-    a column of that matrix, and one strided slice of the string reads
-    it highest s first, ready to parse.  The cost is V² digits, however
-    few bits are set.
+    are moved into the new order, transposed and moved again: bit s of
+    row ``perm[r]`` of the transpose is bit ``perm[r]`` of
+    ``rows[perm[s]]``, which by symmetry is bit ``perm[s]`` of
+    ``rows[perm[r]]``.
     """
-    k = len(rows)
-    fmt = f"0{k}b"
-    digits = "".join([format(rows[p], fmt) for p in reversed(perm)])
-    return [int(digits[k - 1 - c :: k], 2) for c in perm]
+    moved = _transposed(list(map(rows.__getitem__, perm)))
+    return list(map(moved.__getitem__, perm))
 
 
 def _count(planes: list[int], row: int) -> None:
@@ -631,21 +720,19 @@ def _ranked_rows(g: Graph, names: Sequence[T]) -> Iterator[tuple[T, list[T]]]:
     For each vertex in label order that has neighbours later in label
     order: its name and the names of those neighbours, in label order.
     ``names[i]`` stands for vertex i, so one walk serves labels, encoded
-    labels and indices alike.  The vertices later in label order are
-    kept as a row, so each row is cut to its later neighbours before
-    their ranks are read and sorted.
+    labels and indices alike.  The rows are renumbered into label order
+    (``_renumbered``), so a vertex's later neighbours are the bits of its
+    row above its own rank, already in label order.
     """
     labels = g.labels
-    k = len(labels)
-    by_label = sorted(range(k), key=labels.__getitem__)
-    rank = sorted(range(k), key=by_label.__getitem__)  # inverse of by_label
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
     ranked = [names[i] for i in by_label]
-    later = (1 << k) - 1  # the vertices after the current one in label order
-    for r, i in enumerate(by_label):
-        later ^= 1 << i
-        ranks = sorted(_select(g.adj[i] & later, rank))
-        if ranks:
-            yield ranked[r], list(map(ranked.__getitem__, ranks))
+    rows = _renumbered(g.adj, by_label)
+    rows.reverse()  # each row is popped, and let go, once it is walked
+    for r in range(len(ranked)):
+        row = rows.pop()
+        if row >> r + 1:  # a neighbour later in label order
+            yield ranked[r], _select(row >> r + 1 << r + 1, ranked)
 
 
 def _check_exportable(g: Graph) -> None:
@@ -744,6 +831,12 @@ def export(g: Graph, fmt: str) -> str:
     neighbours.  Each piece is appended to one string that only this
     function holds, which CPython resizes in place, so export holds the
     text and one piece, not every piece and a joined copy.
+
+    On CPython 3.11 any profile or trace hook (cProfile, coverage, pdb)
+    turns that in-place append off, and each piece then copies the whole
+    text: cl2(380)'s edge list takes tens of times longer.  An
+    ``io.StringIO`` would not care, but it holds about twice the output.
+    So time export with no hook set, or profile ``_export_pieces``.
     """
     text = ""
     for piece in _export_pieces(g, fmt):
@@ -846,16 +939,18 @@ def parse_edgelist(source: str | TextIO) -> Graph:
     referenced only by ``e`` lines are added implicitly, so plain
     two-column edge files load too.
 
-    A block of plain ``e a b`` lines on known labels is read as tokens
-    (see ``_edge_runs``): each run of lines sharing their first vertex
-    ORs the second vertices' bits into its row once, and each line ORs
-    the first vertex's bit into the second vertex's row.  Any other block
-    is read line by line, the only reader of headers, ``v`` lines,
-    comments, new labels and refused lines, so vertex order and every
-    message are the line reader's.  There the common ``e a b`` line, a
-    and b distinct, is tested first and links its two vertices at once.
-    Lines are numbered as they are read, so a refused line is named by
-    its number and its text without a second read or a search.
+    Both readers set each edge in its first vertex's row only, and the
+    rows are ORed with their transpose once at the end (``_transposed``),
+    which sets the other half.  A block of plain ``e a b`` lines on known
+    labels is read as tokens (see ``_edge_runs``): each run of lines
+    sharing their first vertex ORs the second vertices' bits into its row
+    once.  Any other block is read line by line, the only reader of
+    headers, ``v`` lines, comments, new labels and refused lines, so
+    vertex order and every message are the line reader's.  There the
+    common ``e a b`` line, a and b distinct, is tested first and sets
+    bit b in a's row.  Lines are numbered as they are read, so a refused
+    line is named by its number and its text without a second read or a
+    search.
     """
     index: dict[str, int] = {}  # label -> index, in the order first seen
     rows: list[int] = []
@@ -866,9 +961,6 @@ def parse_edgelist(source: str | TextIO) -> Graph:
             width = len(rows)
             for first, js in runs:
                 rows[first] |= _row_of(js, width)
-                back = 1 << first
-                for j in js:
-                    rows[j] |= back
                 before += len(js)
             continue
         lines = block.splitlines()
@@ -884,7 +976,6 @@ def parse_edgelist(source: str | TextIO) -> Graph:
                     j = index[b] = len(rows)
                     rows.append(0)
                 rows[i] |= 1 << j
-                rows[j] |= 1 << i
             elif not fields or fields[0].startswith("#"):
                 continue
             elif fields[0] == "v" and len(fields) == 2:
@@ -898,4 +989,4 @@ def parse_edgelist(source: str | TextIO) -> Graph:
                 raise ValueError(f"line {ln}: cannot parse {lines[at]!r}")
         before += len(lines)
         del lines  # let this block's lines go before the next block is split
-    return Graph.from_rows(index, rows)
+    return Graph.from_rows(index, list(map(or_, rows, _transposed(rows))))

@@ -97,6 +97,13 @@ def test_cl2_edgelist_digest(n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_cl2_incidence_digest():
+    # 112 vertices and 1,804 edges, renumbered into label order by tiles
+    text = export(cl2(60), "incidence")
+    assert len(text) == 438_914
+    assert hashlib.sha256(text.encode()).hexdigest() == "a9fde0f5275df4d7362fcbe796d64c7e1ce9b152319de3c761059211b6322f01"
+
+
 @pytest.mark.parametrize(
     "builder,digest",
     [

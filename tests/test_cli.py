@@ -95,12 +95,12 @@ def test_build_rejects_bad_modulus(capsys):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
 def test_build_out_of_memory_exits_2_with_one_error_line():
     # cl2(30030) has 362,880 vertices, about 16.5 GB of rows; in a child
-    # whose address space is capped at 1 GiB the build runs out of memory
+    # whose address space is capped at 256 MiB the build runs out of memory
     # within a second, and no test here can reach more than that
     import resource
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
     src = str(Path(cleangraphs.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -19,6 +19,8 @@ from cleangraphs.cleangraph import cl1, cl2, cl2_pairs, clean_graph, idempotent_
 from cleangraphs.graph import (
     DEFAULT_SEARCH_BUDGET,
     EXPORT_FORMATS,
+    NARROW,
+    STRIP,
     Graph,
     IsoResult,
     _joint_refinement,
@@ -26,6 +28,10 @@ from cleangraphs.graph import (
     _row_of,
     _search_order,
     _select,
+    _transposed,
+    _transposed_by_bits,
+    _transposed_by_digits,
+    _transposed_by_tiles,
     complete_graph,
     export,
     find_isomorphism,
@@ -281,6 +287,62 @@ def test_renumbered_matches_a_row_by_row_relabelling(case):
     k = len(adj)
     inverse = sorted(range(k), key=perm.__getitem__)
     assert _renumbered(adj, perm) == [_row_of(_select(adj[p], inverse), k) for p in perm]
+
+
+TRANSPOSES = [_transposed, _transposed_by_bits, _transposed_by_digits, _transposed_by_tiles]
+
+
+@st.composite
+def bit_matrices(draw):
+    """Square bit matrices that are not symmetric, from empty to full, at
+    and around the sizes where the transposes change: the tiles' runs of
+    8 rows, NARROW and STRIP."""
+    k = draw(st.sampled_from([0, 1, 7, 8, 9, NARROW - 1, NARROW, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 3]))
+    share = draw(st.sampled_from([0.0, 0.003, 0.03, 0.3, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return [_row_of(rng.sample(range(k), round(share * k)), k) for _ in range(k)]
+
+
+@given(bit_matrices())
+@example([])
+@example([(1 << 2 * STRIP + 3) - 1] * (2 * STRIP + 3))
+@example([1 << i for i in range(STRIP + 1)][::-1])  # the anti-diagonal
+@settings(max_examples=60, deadline=None)
+def test_transposes_match_a_bit_by_bit_transpose(rows):
+    k = len(rows)
+    expected = [sum((rows[i] >> j & 1) << i for i in range(k)) for j in range(k)]
+    for transpose in TRANSPOSES:
+        assert transpose(list(rows)) == expected, transpose.__name__
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        # 1,008 vertices, a quarter of the matrix set
+        pytest.param(lambda: cl2(380), "_transposed_by_tiles", id="cl2_380"),
+        # 2,332 vertices, rows of at most one bit
+        pytest.param(lambda: cl2(2333), "_transposed_by_bits", id="cl2_2333"),
+        # 44 vertices, 399 edges: the shu benchmark's median shape
+        pytest.param(lambda: build_shu(random_connected_graph(9, 10, 14)[0], 2, 4), "_transposed_by_digits", id="shu_44"),
+    ],
+)
+def test_transposed_picks_its_path_by_size_and_density(monkeypatch, make, path):
+    # every path gives the same rows, so only a spy tells them apart; a
+    # wrong rule costs tens of milliseconds on a prime's cl2 and shows in
+    # no output
+    g = make()
+    used = []
+    for transpose in TRANSPOSES[1:]:
+        name = transpose.__name__
+
+        def spy(rows, transpose=transpose, name=name):
+            used.append(name)
+            return transpose(rows)
+
+        monkeypatch.setattr(graph_module, name, spy)
+    text = export(g, "edgelist")  # the rows renumbered into label order
+    assert parse_edgelist(text).adj == g.adj  # the forward half closed
+    assert used == [path, path]
 
 
 # -- components ----------------------------------------------------------------
@@ -1412,6 +1474,26 @@ def test_export_matches_literal_export_on_cl2(n):
     g = cl2(n)
     for fmt in EXPORT_FORMATS:
         assert export(g, fmt).split("\n") == literal_export(g, fmt).split("\n")
+
+
+@st.composite
+def numbered_graphs(draw):
+    """A graph on numbers and letters of both cases, added in numeric
+    order, so that label order ("10" < "9", "B3" < "a0") is not insertion
+    order; from empty to complete, narrower and wider than NARROW, so
+    that every transpose renumbers some of them into label order."""
+    k = draw(st.sampled_from([0, 1, 2, 11, NARROW - 1, NARROW + 1, 150]))
+    share = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    labels = [f"{'aB'[i % 2]}{i}" if i % 3 == 0 else str(i) for i in range(k)]
+    return Graph(labels, [(a, b) for a, b in combinations(labels, 2) if rng.random() < share])
+
+
+@given(numbered_graphs())
+@settings(max_examples=60, deadline=None)
+def test_export_walk_matches_a_sorted_edge_walk(g):
+    assert g.edges() == literal_edges(g)
+    assert export(g, "edgelist") == literal_export(g, "edgelist")
 
 
 parse_label = st.sampled_from(["a", "b", "c", "#c", "e", "v", "é", "x,y"])
