@@ -24,7 +24,7 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import compress, groupby
 from operator import or_
 from typing import Iterable, Iterator, Literal, Sequence, TextIO, TypeVar
@@ -38,10 +38,8 @@ DENSE = 16
 FEW = 16
 
 # a bit matrix whose rows hold fewer than SPARSE set bits on average is
-# transposed a bit at a time; else one of fewer than NARROW rows through a
-# string of binary digits, and a wider one by tiles in runs of STRIP rows
+# transposed a bit at a time, any other by 8x8 tiles in runs of STRIP rows
 SPARSE = 4
-NARROW = 80
 STRIP = 256
 
 # the parser reads its text BLOCK characters at a time
@@ -123,15 +121,11 @@ def _transposed(rows: list[int]) -> list[int]:
     ``1 << len(rows)``; the rows need not be symmetric.
 
     Rows holding fewer than SPARSE set bits on average are moved a bit at
-    a time, since the other methods cost V² however few bits are set.
-    Otherwise a matrix of fewer than NARROW rows goes through one string
-    of binary digits, and a wider one through 8x8 tiles.
+    a time, since the tiles cost V² however few bits are set; any other
+    matrix goes through 8x8 tiles.
     """
-    k = len(rows)
-    if sum(map(int.bit_count, rows)) < SPARSE * k:
+    if sum(map(int.bit_count, rows)) < SPARSE * len(rows):
         return _transposed_by_bits(rows)
-    if k < NARROW:
-        return _transposed_by_digits(rows)
     return _transposed_by_tiles(rows)
 
 
@@ -149,18 +143,18 @@ def _transposed_by_bits(rows: list[int]) -> list[int]:
     return out
 
 
-def _transposed_by_digits(rows: list[int]) -> list[int]:
-    """``_transposed`` through one string of V² binary digits.
-
-    The rows are written row V-1 first and each row's highest bit
-    first, so bit j of row i is the digit at ``(V-1-i) * V + V-1-j``.
-    Column j is then the strided slice from ``V-1-j`` in steps of V,
-    which reads it highest row first, ready to parse.
-    """
-    k = len(rows)
-    top = 1 << k  # a leading 1 keeps the row's leading zeros
-    digits = "".join([bin(row | top)[3:] for row in reversed(rows)])
-    return [int(digits[s::k], 2) for s in range(k - 1, -1, -1)]
+@cache
+def _tile_swaps(size: int) -> tuple[tuple[int, int], ...]:
+    """``_transposed_by_tiles``'s (shift, mask) pairs on rows of ``size``
+    bytes, kept per width: for j = 4, 2, 1 the mask holds the bits
+    (u, v + j) of every tile in ``min(STRIP, 8 * size)`` rows, bit j set
+    in the column and clear in the row."""
+    rows = min(STRIP, 8 * size)
+    zero = bytes(size)
+    return tuple(
+        (j * (8 * size - 1), int.from_bytes((pattern * size * j + zero * j) * (rows // (2 * j)), "little"))
+        for j, pattern in ((4, b"\xf0"), (2, b"\xcc"), (1, b"\xaa"))
+    )
 
 
 def _transposed_by_tiles(rows: list[int]) -> list[int]:
@@ -173,21 +167,14 @@ def _transposed_by_tiles(rows: list[int]) -> list[int]:
     every tile of the run at once (Warren, *Hacker's Delight*, 2nd ed.,
     §7-3): for j = 4, 2, 1 a tile's bit (u, v + j) is swapped with bit
     (u + j, v) wherever bit j is clear in both u and v, a distance of
-    ``j * (W - 1)``.  The tile at rows 8p..8p+7 and byte b then holds
-    at its row u the bits of byte p of column 8b + u, so column j is the
-    strided slice of the tiled matrix's bytes that takes byte j // 8 of
-    row j % 8 of each run of 8 rows.
+    ``j * (W - 1)`` (``_tile_swaps``).  The tile at rows 8p..8p+7 and
+    byte b then holds at its row u the bits of byte p of column 8b + u,
+    so column j is the strided slice of the tiled matrix's bytes that
+    takes byte j // 8 of row j % 8 of each run of 8 rows.
     """
     k = len(rows)
     size = (k + 7) // 8  # bytes a row
-    width = 8 * size
-    zero = bytes(size)
-    swaps = []
-    for j, pattern in (4, 0xF0), (2, 0xCC), (1, 0xAA):
-        # the bits (u, v + j) of each tile: bit j set in the column and clear in the row
-        ones = bytes([pattern]) * size
-        eight = b"".join([zero if u & j else ones for u in range(8)])
-        swaps.append((j * (width - 1), int.from_bytes(eight * (STRIP // 8), "little")))
+    swaps = _tile_swaps(size)
     tiled = bytearray()
     for at in range(0, k, STRIP):
         strip = rows[at : at + STRIP]
@@ -460,9 +447,9 @@ def _renumbered(rows: list[int], perm: list[int]) -> list[int]:
     position in ``perm``.
 
     The rows must be symmetric, as every ``Graph`` keeps them.  The rows
-    are moved into the new order, transposed and moved again: bit s of
-    row ``perm[r]`` of the transpose is bit ``perm[r]`` of
-    ``rows[perm[s]]``, which by symmetry is bit ``perm[s]`` of
+    are moved into the new order, transposed (``_transposed``) and moved
+    again: bit s of row ``perm[r]`` of the transpose is bit ``perm[r]``
+    of ``rows[perm[s]]``, which by symmetry is bit ``perm[s]`` of
     ``rows[perm[r]]``.
     """
     moved = _transposed(list(map(rows.__getitem__, perm)))

@@ -15,19 +15,8 @@ from typing import Iterable
 
 
 def is_prime(p: int) -> bool:
-    """Trial-division primality test (desk scale)."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """p is prime: ``factorize``'s trial division finds p alone."""
+    return p >= 2 and factorize(p).factorization == ((p, 1),)
 
 
 def _computed_once(method):

@@ -19,7 +19,6 @@ from cleangraphs.cleangraph import cl1, cl2, cl2_pairs, clean_graph, idempotent_
 from cleangraphs.graph import (
     DEFAULT_SEARCH_BUDGET,
     EXPORT_FORMATS,
-    NARROW,
     STRIP,
     Graph,
     IsoResult,
@@ -28,9 +27,9 @@ from cleangraphs.graph import (
     _row_of,
     _search_order,
     _select,
+    _tile_swaps,
     _transposed,
     _transposed_by_bits,
-    _transposed_by_digits,
     _transposed_by_tiles,
     complete_graph,
     export,
@@ -289,15 +288,15 @@ def test_renumbered_matches_a_row_by_row_relabelling(case):
     assert _renumbered(adj, perm) == [_row_of(_select(adj[p], inverse), k) for p in perm]
 
 
-TRANSPOSES = [_transposed, _transposed_by_bits, _transposed_by_digits, _transposed_by_tiles]
+TRANSPOSES = [_transposed, _transposed_by_bits, _transposed_by_tiles]
 
 
 @st.composite
 def bit_matrices(draw):
     """Square bit matrices that are not symmetric, from empty to full, at
-    and around the sizes where the transposes change: the tiles' runs of
-    8 rows, NARROW and STRIP."""
-    k = draw(st.sampled_from([0, 1, 7, 8, 9, NARROW - 1, NARROW, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 3]))
+    and around the tiles' runs of 8 and of STRIP rows, and at 44 rows,
+    the shu benchmark's median shape."""
+    k = draw(st.sampled_from([0, 1, 7, 8, 9, 44, 79, 80, 81, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 3]))
     share = draw(st.sampled_from([0.0, 0.003, 0.03, 0.3, 0.9, 1.0]))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     return [_row_of(rng.sample(range(k), round(share * k)), k) for _ in range(k)]
@@ -315,6 +314,27 @@ def test_transposes_match_a_bit_by_bit_transpose(rows):
         assert transpose(list(rows)) == expected, transpose.__name__
 
 
+@pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+def test_tiles_match_a_bit_by_bit_transpose_at_every_narrow_size(share):
+    # every size from 80 down to 0, so each row width's masks are made for
+    # its widest matrix and kept for up to seven narrower ones: 9 rows
+    # after 16, for one
+    _tile_swaps.cache_clear()
+    rng = random.Random(share)
+    for k in range(80, -1, -1):
+        rows = [_row_of(rng.sample(range(k), round(share * k)), k) for _ in range(k)]
+        expected = [sum((rows[i] >> j & 1) << i for i in range(k)) for j in range(k)]
+        assert _transposed_by_tiles(list(rows)) == expected, k
+
+
+@pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 126, 900])
+def test_tile_masks_cover_one_run_of_rows(size):
+    # the masks are kept for the life of the process, so each is at most
+    # min(STRIP, 8 * size) rows of size bytes, however wide the matrix
+    bits = 8 * min(STRIP, 8 * size) * size
+    assert all(0 < mask.bit_length() <= bits for _, mask in _tile_swaps(size))
+
+
 @pytest.mark.parametrize(
     "make, path",
     [
@@ -323,7 +343,7 @@ def test_transposes_match_a_bit_by_bit_transpose(rows):
         # 2,332 vertices, rows of at most one bit
         pytest.param(lambda: cl2(2333), "_transposed_by_bits", id="cl2_2333"),
         # 44 vertices, 399 edges: the shu benchmark's median shape
-        pytest.param(lambda: build_shu(random_connected_graph(9, 10, 14)[0], 2, 4), "_transposed_by_digits", id="shu_44"),
+        pytest.param(lambda: build_shu(random_connected_graph(9, 10, 14)[0], 2, 4), "_transposed_by_tiles", id="shu_44"),
     ],
 )
 def test_transposed_picks_its_path_by_size_and_density(monkeypatch, make, path):
@@ -1480,9 +1500,10 @@ def test_export_matches_literal_export_on_cl2(n):
 def numbered_graphs(draw):
     """A graph on numbers and letters of both cases, added in numeric
     order, so that label order ("10" < "9", "B3" < "a0") is not insertion
-    order; from empty to complete, narrower and wider than NARROW, so
-    that every transpose renumbers some of them into label order."""
-    k = draw(st.sampled_from([0, 1, 2, 11, NARROW - 1, NARROW + 1, 150]))
+    order; from empty to complete, with and without a partial byte of
+    rows, so that both transposes renumber some of them into label
+    order."""
+    k = draw(st.sampled_from([0, 1, 2, 11, 79, 81, 150]))
     share = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     labels = [f"{'aB'[i % 2]}{i}" if i % 3 == 0 else str(i) for i in range(k)]
