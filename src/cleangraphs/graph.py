@@ -24,7 +24,7 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import compress, groupby
 from operator import or_
 from typing import Iterable, Iterator, Literal, Sequence, TextIO, TypeVar
@@ -44,8 +44,6 @@ STRIP = 256
 
 # the parser reads its text BLOCK characters at a time
 BLOCK = 1 << 14
-# str.splitlines's line boundaries but "\n" and "\r", and _edge_runs's line mark
-_NOT_PLAIN = ("\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 T = TypeVar("T")
 
@@ -143,12 +141,21 @@ def _transposed_by_bits(rows: list[int]) -> list[int]:
     return out
 
 
-@cache
+@lru_cache(maxsize=32)
 def _tile_swaps(size: int) -> tuple[tuple[int, int], ...]:
     """``_transposed_by_tiles``'s (shift, mask) pairs on rows of ``size``
-    bytes, kept per width: for j = 4, 2, 1 the mask holds the bits
-    (u, v + j) of every tile in ``min(STRIP, 8 * size)`` rows, bit j set
-    in the column and clear in the row."""
+    bytes: for j = 4, 2, 1 the mask holds the bits (u, v + j) of every
+    tile in ``min(STRIP, 8 * size)`` rows, bit j set in the column and
+    clear in the row.
+
+    The 32 widths last used are kept.  Making a width's masks costs
+    10-24% of one dense transpose at that width below 32 bytes a row and
+    1-7% above, and one pass of a ``perfbench`` workload transposed at
+    most 15 widths (``sweep``, seeds 1-5).  An entry is
+    ``3 * min(STRIP, 8 * size) * size`` bytes, so the memo holds at most
+    32 * 768 bytes per byte of the widest row kept: 21 MB at 7,200
+    vertices, where keeping every width up to there would hold about
+    311 MB."""
     rows = min(STRIP, 8 * size)
     zero = bytes(size)
     return tuple(
@@ -871,36 +878,43 @@ def _blocks(source: str | TextIO) -> Iterator[str]:
         yield rest
 
 
-def _edge_runs(block: str, index: dict[str, int]) -> list[tuple[int, list[int]]] | None:
+def _edge_runs(block: str, index: dict[str, int], ends: dict[str, int]) -> list[tuple[int, list[int]]] | None:
     """The edges of a block of plain ``e a b`` lines as runs ``(i, js)``:
     each run is the lines that share the first vertex i, in order, and js
     their second vertices; None for any other block.
 
     A block is plain when it starts with "e ", its line boundaries are
-    "\\n", "\\r\\n" or "\\r" (it holds none of _NOT_PLAIN), every line is
-    exactly the fields e, a and b, every label is in ``index`` and no line
-    has a == b.  Each "\\r\\n" and then each "\\r" is made "\\n" (``_blocks``
-    never cuts inside a "\\r\\n"), the "\\n"s are marked with "\\x00" and
-    the block is split once, so a plain block of L lines is 4L tokens with
-    the mark at every 4th place and "e" after each mark.  The second labels
-    are looked up by one ``map``, runs are cut where neighbouring first
-    labels differ (``groupby``) and a run's first label is looked up once,
-    so the loop here turns once a run, not once a line.  Nothing is
-    changed and no row is built, so a refused block can be read line by
-    line from the start, and the runs hold only indices.
+    "\\n", "\\r\\n" or "\\r", every line is exactly the fields e, a and b
+    with one blank between them, every label is in ``index`` and no line
+    has a == b.  ``ends`` maps each label of ``index`` followed by "\\ne"
+    to its index.  Each "\\r\\n" and then each "\\r" is made "\\n"
+    (``_blocks`` never cuts inside a "\\r\\n"), the block is split at each
+    blank, and one "e" is added to the last token, so a plain block of L
+    lines is the 2L + 1 tokens "e", then each line's a and then its b with
+    the "\\ne" that ends it and starts the next line.  The first labels are
+    looked up in ``index`` and the second ones in ``ends``.  No label holds
+    whitespace (both readers take labels from ``str.split``), so when the
+    count is odd and every lookup succeeds, the block is those lines and
+    nothing else.  Runs are cut where neighbouring first labels differ
+    (``groupby``) and a run's first label is looked up once, so the loop
+    here turns once a run, not once a line.  Nothing is changed and no row
+    is built, so a refused block can be read line by line from the start,
+    and the runs hold only indices.
     """
     if "\r" in block:
         block = block.replace("\r\n", "\n").replace("\r", "\n")
-    if not block.startswith("e ") or any(map(block.__contains__, _NOT_PLAIN)):
+    if not block.startswith("e "):
         return None
-    lines = block.count("\n")
-    tokens = block.replace("\n", " \x00 ").split()
-    if len(tokens) != 4 * lines or tokens[3::4].count("\x00") != lines or tokens[::4].count("e") != lines:
+    tokens = block.split(" ")
+    # an even count is never plain, and on a last line with no "\n" after
+    # it, "e x" with x + "e" a label would pass every lookup
+    if not len(tokens) & 1:
         return None
-    firsts = tokens[1::4]
+    tokens[-1] += "e"
+    firsts = tokens[1::2]
     try:
-        seconds = list(map(index.__getitem__, tokens[2::4]))
-    except KeyError:  # a label not seen before: its place is the line reader's
+        seconds = list(map(ends.__getitem__, tokens[2::2]))
+    except KeyError:  # not a known label and a line end: its place is the line reader's
         return None
     del tokens
     runs, s = [], 0
@@ -935,15 +949,18 @@ def parse_edgelist(source: str | TextIO) -> Graph:
     headers, ``v`` lines, comments, new labels and refused lines, so
     vertex order and every message are the line reader's.  There the
     common ``e a b`` line, a and b distinct, is tested first and sets
-    bit b in a's row.  Lines are numbered as they are read, so a refused
-    line is named by its number and its text without a second read or a
-    search.
+    bit b in a's row.  Each label the line reader adds goes into
+    ``index`` and, followed by "\\ne", into ``ends``, the form in which
+    the token reader meets a line's second label.  Lines are numbered as
+    they are read, so a refused line is named by its number and its text
+    without a second read or a search.
     """
     index: dict[str, int] = {}  # label -> index, in the order first seen
+    ends: dict[str, int] = {}  # label + "\ne" -> index, for _edge_runs
     rows: list[int] = []
     before = 0  # the lines of the blocks before this one
     for block in _blocks(source):
-        runs = _edge_runs(block, index)
+        runs = _edge_runs(block, index, ends)
         if runs is not None:
             width = len(rows)
             for first, js in runs:
@@ -956,18 +973,18 @@ def parse_edgelist(source: str | TextIO) -> Graph:
                 _, a, b = fields
                 i = index.get(a)
                 if i is None:
-                    i = index[a] = len(rows)
+                    i = index[a] = ends[a + "\ne"] = len(rows)
                     rows.append(0)
                 j = index.get(b)
                 if j is None:
-                    j = index[b] = len(rows)
+                    j = index[b] = ends[b + "\ne"] = len(rows)
                     rows.append(0)
                 rows[i] |= 1 << j
             elif not fields or fields[0].startswith("#"):
                 continue
             elif fields[0] == "v" and len(fields) == 2:
                 if fields[1] not in index:
-                    index[fields[1]] = len(rows)
+                    index[fields[1]] = ends[fields[1] + "\ne"] = len(rows)
                     rows.append(0)
             else:
                 ln = before + at + 1

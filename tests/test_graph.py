@@ -329,10 +329,27 @@ def test_tiles_match_a_bit_by_bit_transpose_at_every_narrow_size(share):
 
 @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 126, 900])
 def test_tile_masks_cover_one_run_of_rows(size):
-    # the masks are kept for the life of the process, so each is at most
+    # the masks outlive the transpose that made them, so each is at most
     # min(STRIP, 8 * size) rows of size bytes, however wide the matrix
     bits = 8 * min(STRIP, 8 * size) * size
     assert all(0 < mask.bit_length() <= bits for _, mask in _tile_swaps(size))
+
+
+def test_tile_masks_keep_a_bounded_number_of_widths():
+    # a transpose at each of 8 more widths than the memo keeps: it holds
+    # maxsize widths, the latest, and the transposes stay right after an
+    # old width is let go and made again
+    _tile_swaps.cache_clear()
+    keep = _tile_swaps.cache_info().maxsize
+    rng = random.Random(34)
+    for size in [*range(1, keep + 9), 1]:
+        k = 8 * size - rng.randrange(8)
+        rows = [rng.getrandbits(k) for _ in range(k)]
+        assert _transposed_by_tiles(list(rows)) == _transposed_by_bits(rows), k
+    info = _tile_swaps.cache_info()
+    assert 0 < keep == info.currsize and info.misses == keep + 9 and info.hits == 0
+    _transposed_by_tiles([0] * 8 * (keep + 8))  # the widest width is still kept
+    assert _tile_swaps.cache_info().hits == 1
 
 
 @pytest.mark.parametrize(
@@ -1597,11 +1614,16 @@ def plain_edge_texts(draw):
 @example("v a\nv b\ne a b\ne a c\ne b c\n")  # an undeclared second label
 @example("v a\nv b\ne a b\ne c a\n")  # an undeclared first label
 @example("v e\nv v\nv #e\ne e v\ne e #e\ne #e v\n")  # the line keywords and a comment mark
-@example("v a\nv \x00\nv x\x00y\ne a \x00\ne \x00 x\x00y\n")  # labels holding the line mark
-@example("v a\nv c\nv d\nv e\nv \x00\ne a\ne e c d\n")  # 4L tokens, marks misplaced
+@example("v a\nv \x00\nv x\x00y\ne a \x00\ne \x00 x\x00y\n")  # labels holding "\\x00"
+@example("v a\nv c\nv d\nv e\nv \x00\ne a\ne e c d\n")  # lines of 2 and 4 fields
+@example("v a\nv b\nv c\nv d\ne a\ne b c d\n")  # 2L + 1 tokens from lines of 2 and 4 fields
+@example("v a\nv b\ne a  b\ne  a b\n")  # doubled blanks, 2L + 1 tokens for L = 3
+@example("v a\nv b\ne a\tb\ne b a\n")  # a tab between fields
+@example("v a\nv b\ne a b \ne b a\n")  # a blank before "\\n"
+@example("v a\nv b\nv ce\ne a b\ne c")  # no "\\n" after "e c", and "c" + "e" is a label
 @example("v a\nv b\ne a b\x0c\ne a b\ne a a\n")  # a line boundary that is not "\\n"
-@example("v a\nv b\ne a b\nv a b\n")  # 4L tokens, a line that is not an edge
-@example("v a\nv b\ne a b c x a b\n")  # a mark at every 4th place, but 8 tokens for one line
+@example("v a\nv b\ne a b\nv a b\n")  # 2L + 1 tokens, a line that is not an edge
+@example("v a\nv b\ne a b c x a b\n")  # 2L + 1 tokens for L = 3, but one line
 @example("v a\nv b\ne a b\ne a b")  # no "\\n" after the last line
 @example("v a\nv b\ne a b\nx")  # a refused last line with no "\\n" after it
 @example("v a\r\nv b\r\nv c\r\ne a b\r\ne a c\r\ne b c\r\n")  # "\\r\\n" line ends
@@ -1622,6 +1644,30 @@ def test_plain_edge_blocks_match_literal_parser(text):
         graph_module.BLOCK = block
 
 
+def blocks_read(monkeypatch, text: str) -> tuple[Graph, list[tuple[str, bool]]]:
+    """What parse_edgelist makes of text, and each block it read with
+    whether _edge_runs returned it as runs (True) or refused it to the
+    line reader."""
+    read, edge_runs = [], graph_module._edge_runs
+
+    def spy(block, index, ends):
+        runs = edge_runs(block, index, ends)
+        read.append((block, runs is not None))
+        return runs
+
+    monkeypatch.setattr(graph_module, "_edge_runs", spy)
+    return parse_edgelist(text), read
+
+
+def assert_read_as_tokens_from(read: list[tuple[str, bool]], start: int) -> None:
+    """Every block that starts at or after ``start`` of the text was read
+    as tokens."""
+    at = 0
+    for block, as_tokens in read:
+        assert as_tokens or at < start, f"the block at {at} was read line by line"
+        at += len(block)
+
+
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_exported_edge_lines_are_read_as_tokens(monkeypatch, end):
     # every block that the parser reads after the vertex lines of an
@@ -1629,20 +1675,40 @@ def test_exported_edge_lines_are_read_as_tokens(monkeypatch, end):
     # back from _edge_runs as runs, not refused to the line reader
     text = export(cl2(380), "edgelist").replace("\n", end)
     edges_from = text.index(end, text.rindex(end + "v ") + len(end)) + len(end)
-    read, edge_runs = [], graph_module._edge_runs
+    _, read = blocks_read(monkeypatch, text)
+    assert_read_as_tokens_from(read, edges_from)
+    assert "".join(block for block, _ in read) == text and len(read) > 100
 
-    def spy(block, index):
-        runs = edge_runs(block, index)
-        read.append((block, runs is not None))
-        return runs
 
-    monkeypatch.setattr(graph_module, "_edge_runs", spy)
-    parse_edgelist(text)
-    at = 0
-    for block, as_tokens in read:
-        assert as_tokens or at < edges_from, f"the block at {at} was read line by line"
-        at += len(block)
-    assert at == len(text) and len(read) > 100
+def test_edge_lines_on_labels_holding_nul_are_read_as_tokens(monkeypatch):
+    # "\x00" is no blank to str.split, so it can stand in a label, and
+    # the edge lines of such labels are plain
+    labels = [f"\x00{i}" if i % 2 else f"x\x00{i}" for i in range(40)]
+    g = Graph(labels, combinations(labels, 2))
+    text = export(g, "edgelist")
+    monkeypatch.setattr(graph_module, "BLOCK", 256)
+    got, read = blocks_read(monkeypatch, text)
+    assert got == g and (got.labels, got.index, got.adj) == parsed(literal_parse_edgelist, text)
+    assert_read_as_tokens_from(read, text.index("\ne ") + 1)
+    assert sum(as_tokens for _, as_tokens in read) > 20
+
+
+def test_two_column_blocks_on_labels_seen_before_are_read_as_tokens(monkeypatch):
+    # no v lines: the line reader adds every label from the first lines,
+    # half as a first and half as a second label, and each later block
+    # uses only those labels, in both places, so it must come back as
+    # runs; that holds only if ends follows every label the line reader adds
+    rng = random.Random(34)
+    labels = [f"n{i}" for i in range(30)]
+    intro = list(zip(labels[::2], labels[1::2]))
+    later = [rng.sample(pair, 2) for pair in combinations(labels, 2) if pair not in intro]
+    rng.shuffle(later)
+    text = "".join(f"e {a} {b}\n" for a, b in intro + later)
+    monkeypatch.setattr(graph_module, "BLOCK", 256)
+    got, read = blocks_read(monkeypatch, text)
+    assert (got.labels, got.index, got.adj) == parsed(literal_parse_edgelist, text)
+    assert_read_as_tokens_from(read, sum(len(f"e {a} {b}\n") for a, b in intro))
+    assert sum(as_tokens for _, as_tokens in read) > 10
 
 
 # every sequence that str.splitlines takes for a line boundary

@@ -94,6 +94,29 @@ def test_unit_count_matches_full_scan_across_windows(n):
     assert count_units(n) == full_scan_count_units(n)
 
 
+@st.composite
+def smooth_moduli(draw):
+    """n up to 10^5 with many composite divisors: a cofactor times small
+    primes, repeats allowed, for as long as the product stays in range."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    for p in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=14)):
+        if n * p > 10**5:
+            break
+        n *= p
+    return n
+
+
+@given(st.one_of(smooth_moduli(), st.integers(min_value=1, max_value=10**5)))
+@example(2 * 3 * 5 * 7 * 11 * 13)  # six primes, 64 divisors
+@example(2**16)  # one prime, 16 divisors
+@example(3 * 32_999)  # a prime divisor above the square root
+@example(313 * 317)  # two primes near the square root
+@example(99_991)  # a prime
+@settings(max_examples=80, deadline=None)
+def test_unit_count_marking_with_prime_divisors_matches_full_scan(n):
+    assert count_units(n) == full_scan_count_units(n)
+
+
 def test_unit_count_memory_stays_under_a_megabyte():
     n = 10_000_019
     tracemalloc.start()
