@@ -485,76 +485,63 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
     certifies non-isomorphism).  The degree histograms are compared
     first.
 
-    A class is a pair of rows, its members in g and in h, and the
+    The refinement runs on the disjoint union of g and h, whose 2k
+    vertices are g's k and then h's: vertex v of h is bit k + v, and h's
+    rows are shifted by k.  A class is one int over the union, and the
     refinement runs from a worklist of splitter classes by Hopcroft's
-    rule (Paige & Tarjan, 1987; Berkholz, Bonsma & Grohe, 2017).  Each
-    graph's neighbour counts in a splitter are summed into bit planes
-    by adding its members' rows (see ``_count``).  Each plane in turn
-    then cuts every class: the g side splits where the plane cuts it,
-    and the h side must follow, whole where the g side is whole, empty
-    where it is empty and cut to the same size where it is cut;
-    otherwise, or when the two graphs' counts take different numbers of
-    planes, the refinement returns None.  A class that meets no plane
-    on either side passes unchanged.  Of the two parts of a split, the
-    larger keeps the class's place, waiting or not, and the smaller
-    waits; at the start every degree class but the largest waits.  That
-    suffices: the degrees are the counts in all vertices, and a vertex's
-    count in the larger part is its count in the class less its count in
-    the smaller.  Whatever the order of the splitters, the stable
-    partition is the coarsest equitable refinement of the degree
-    partition, so the classes are those of the round-by-round
-    refinement; a color is its class's place in the list.
+    rule (Paige & Tarjan, 1987; Berkholz, Bonsma & Grohe, 2017).  The
+    neighbour counts in a splitter are summed into bit planes by adding
+    its members' rows (see ``_count``), and each plane in turn cuts
+    every class.  A cut must take as many vertices of g as of h, or the
+    refinement returns None.  Every class holds as many of each (the
+    degree histograms agree, and each cut keeps it so), so that one test
+    refuses a plane that holds vertices of one graph only, a class cut
+    on one side and whole or untouched on the other, and two sides cut
+    to different sizes.  Of the two parts of a cut, the larger keeps the
+    class's place, waiting or not, and the smaller waits; at the start
+    every degree class but the largest waits.  That suffices: the
+    degrees are the counts in all vertices, and a vertex's count in the
+    larger part is its count in the class less its count in the smaller.
+    Whatever the order of the splitters, the stable partition is the
+    coarsest equitable refinement of the degree partition, so the
+    classes are those of the round-by-round refinement; a color is its
+    class's place in the list.
     """
     cg, ch = g.degrees(), h.degrees()
     if sorted(cg) != sorted(ch):
         return None
-    sides = {d: [0, 0] for d in cg}
-    for v, d in enumerate(cg):
-        sides[d][0] |= 1 << v
-    for v, d in enumerate(ch):
-        sides[d][1] |= 1 << v
-    gs = [a for a, _ in sides.values()]  # the classes' g sides
-    hs = [b for _, b in sides.values()]  # and their h sides
-    waiting = sorted(range(len(gs)), key=lambda i: gs[i].bit_count())[:-1]
-    while waiting:
-        s = waiting.pop()
-        pg, ph = [], []
-        for row in _select(gs[s], g.adj):
-            _count(pg, row)
-        for row in _select(hs[s], h.adj):
-            _count(ph, row)
-        if len(pg) != len(ph):
-            return None
-        for plane_g, plane_h in zip(pg, ph):
-            for i in range(len(gs)):
-                a, b = gs[i], hs[i]
-                cut_a, cut_b = a & plane_g, b & plane_h
-                if cut_a == a:
-                    if cut_b != b:
-                        return None
-                elif cut_a:
-                    size = cut_a.bit_count()
-                    if size != cut_b.bit_count():
-                        return None
-                    rest_a, rest_b = a ^ cut_a, b ^ cut_b
-                    # the larger part keeps the slot, the smaller waits
-                    if 2 * size < a.bit_count():
-                        cut_a, cut_b, rest_a, rest_b = rest_a, rest_b, cut_a, cut_b
-                    gs[i], hs[i] = cut_a, cut_b
-                    waiting.append(len(gs))
-                    gs.append(rest_a)
-                    hs.append(rest_b)
-                elif cut_b:
-                    return None
     k = len(cg)
-    everyone = range(k)
-    cg, ch = [0] * k, [0] * k
-    for c, (a, b) in enumerate(zip(gs, hs)):
-        for v in _select(a, everyone):
-            cg[v] = c
-        for v in _select(b, everyone):
-            ch[v] = c
-    return cg, ch
+    low = (1 << k) - 1  # g's vertices
+    rows = g.adj + [row << k for row in h.adj]
+    by_degree: dict[int, int] = {}
+    for v, d in enumerate(cg + ch):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = list(by_degree.values())
+    waiting = sorted(range(len(classes)), key=lambda i: classes[i].bit_count())[:-1]
+    while waiting:
+        planes: list[int] = []
+        for row in _select(classes[waiting.pop()], rows):
+            _count(planes, row)
+        for plane in planes:
+            for i in range(len(classes)):
+                whole = classes[i]
+                cut = whole & plane
+                if cut and cut != whole:
+                    size = cut.bit_count()
+                    if 2 * (cut & low).bit_count() != size:
+                        return None
+                    rest = whole ^ cut
+                    # the larger part keeps the slot, the smaller waits
+                    if 2 * size < whole.bit_count():
+                        cut, rest = rest, cut
+                    classes[i] = cut
+                    waiting.append(len(classes))
+                    classes.append(rest)
+    colors = [0] * (2 * k)
+    for c, members in enumerate(classes):
+        for v in _select(members, range(2 * k)):
+            colors[v] = c
+    return colors[:k], colors[k:]
 
 
 def _search_order(g: Graph, colors: list[int]) -> tuple[list[int], list[list[int]]]:

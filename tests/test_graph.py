@@ -1044,8 +1044,8 @@ def test_refinement_matches_its_literal_form_where_a_class_splits_three_ways():
 def equal_degree_pairs(draw):
     """A seeded random connected graph on 4-29 vertices against a
     relabelled copy after a few double-edge swaps: the degree histograms
-    agree, so the refinement decides, often by a class whose h side does
-    not follow its g side."""
+    agree, so the refinement decides, often by a cut that takes more
+    vertices from one graph than from the other."""
     k = draw(st.integers(min_value=4, max_value=29))
     m = draw(st.integers(min_value=k - 1, max_value=min(k * (k - 1) // 2, 3 * k)))
     seeds = st.integers(min_value=0, max_value=2**16)
@@ -1054,8 +1054,25 @@ def equal_degree_pairs(draw):
     return g, shuffled(h, draw(st.randoms(use_true_random=False)))
 
 
+def pair_from_edges(g_edges: str, h_edges: str) -> tuple[Graph, Graph]:
+    """Two graphs given by their edges, each edge two two-character
+    labels run together ("a0a1")."""
+    g, h = (Graph([], [(e[:2], e[2:]) for e in edges.split()]) for edges in (g_edges, h_edges))
+    return g, h
+
+
 @given(equal_degree_pairs())
 @settings(max_examples=300, deadline=None)
+# the smallest pairs refused first by a cut, one for each way that a cut
+# can take unequal numbers of vertices from g and h, in order: the
+# graphs' counts in a splitter take different numbers of planes; a plane
+# takes a class's whole g side but not its whole h side; it takes none
+# of the g side but some of the h side; it cuts the two sides to
+# different sizes
+@example(pair_from_edges("a0a1 a0a2 a0a3 a2a5 a3a4", "a0a1 a0a3 a0a4 a2a3 a2a5"))
+@example(pair_from_edges("a0a1 a0a2 a1a4 a1a5 a2a3 a3a6", "a0a1 a0a5 a1a2 a1a4 a2a3 a3a6"))
+@example(pair_from_edges("a0a1 a0a2 a0a3 a1a4 a2a3", "a0a1 a0a3 a0a4 a1a2 a2a3"))
+@example(pair_from_edges("a0a1 a0a2 a2a3 a3a4", "a0a2 a0a3 a1a4 a2a3"))
 def test_refinement_matches_its_literal_form_on_equal_degree_pairs(pair):
     assert_refinement_matches_literal(*pair)
 

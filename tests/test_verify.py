@@ -32,6 +32,8 @@ from cleangraphs.verify import (
 
 from graph_helpers import empty_graph, ladder_graph, path_graph, relabel
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def test_degree_formula_passes():
     r = verify_degree_formula(10)
@@ -175,10 +177,15 @@ def test_inheritance_searcher_work_is_pinned_on_a_regular_pair():
 @pytest.mark.parametrize("m,nodes", [(3, 8116), (4, 170836)])
 def test_inheritance_searcher_work_is_pinned_on_ladders(m, nodes):
     # the heaviest ops of the benchmark's shu workload: the prism against
-    # the Moebius ladder, cubic on 2m vertices and not isomorphic
+    # the Moebius ladder, cubic on 2m vertices and not isomorphic; at m = 4
+    # the report is the one `verify shu-inheritance --json --stable` writes
+    # for tests/golden/prism4.edgelist and moebius4.edgelist
     r = verify_shu_inheritance(ladder_graph(m, "a", False), ladder_graph(m, "b", True), 2, 4)
     assert r.ok
     assert r.evidence == {"inputs": "not_isomorphic", "results": "not_isomorphic", "nodes": nodes}
+    if m == 4:
+        golden = GOLDEN / "shu_inheritance_prism4_moebius4.json"
+        assert reports_to_json([r], stable=True).encode() == golden.read_bytes()
 
 
 def test_inheritance_rejections():
