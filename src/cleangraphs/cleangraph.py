@@ -15,6 +15,9 @@ is kept in the tests as the reference these builders must match.
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Iterator
+
 from .graph import Graph
 from .modring import ModRing, factorize
 
@@ -71,9 +74,10 @@ def _pair_tables(ring: ModRing, idempotents: tuple[int, ...]) -> tuple[list[int]
     return columns, self_inverse, runs
 
 
-def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
-    """Vertices (e, u), one block of units per idempotent; adjacency
-    ef = 0 or uv = 1.
+def _pair_rows(ring: ModRing, idempotents: tuple[int, ...]) -> Iterator[list[int]]:
+    """The rows of the pair graph on vertices (e, u), one block of units
+    per idempotent; adjacency ef = 0 or uv = 1.  Each block of m rows is
+    yielded as one list and then dropped, so only one is held here.
 
     The rule is an OR of an idempotent relation and a unit relation, so
     each row is built whole instead of testing every pair: the row of
@@ -81,25 +85,30 @@ def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
     minus the vertex itself.
 
     The runs and columns are kept with the ring for each idempotent
-    tuple, so only a ring's first build pays for them; every build puts
-    its rows together fresh into a new graph, an idempotent block's m
-    rows in one comprehension.  A row holds its own bit only where one
-    of the two parts put it there, so only those rows are cleared: every
-    row of a block whose e has e*e = 0, that is e = 0, and otherwise the
-    rows of the units that are their own inverse.
+    tuple, so only a ring's first build pays for them; every call puts
+    its rows together fresh, an idempotent block's m rows in one
+    comprehension.  A row holds its own bit only where one of the two
+    parts put it there, so only those rows are cleared: every row of a
+    block whose e has e*e = 0, that is e = 0, and otherwise the rows of
+    the units that are their own inverse.
     """
     key = ("pair tables", idempotents)
     columns, self_inverse, runs = ring.kept(key, _pair_tables, ring, idempotents)
     m = len(columns)
-    rows: list[int] = []
-    for e, run in zip(idempotents, runs):
+    for b, (e, run) in enumerate(zip(idempotents, runs)):
         block_rows = [run | col for col in columns]
-        own = 1 << len(rows)
+        own = 1 << (b * m)
         for c in range(m) if e == 0 else self_inverse:
             block_rows[c] ^= own << c
-        rows += block_rows
+        yield block_rows
+        del block_rows
+
+
+def _pair_graph(ring: ModRing, idempotents: tuple[int, ...]) -> Graph:
+    """The pair graph whose rows ``_pair_rows`` yields, kept whole."""
     units = ring.units()
-    return Graph.from_rows((pair_label(e, u) for e in idempotents for u in units), rows)
+    labels = (pair_label(e, u) for e in idempotents for u in units)
+    return Graph.from_rows(labels, list(chain.from_iterable(_pair_rows(ring, idempotents))))
 
 
 def clean_graph(r: ModRing | int) -> Graph:

@@ -22,10 +22,11 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Literal
 
 from . import _kernels, graph
-from .cleangraph import _ring, cl2, cl2_pairs, closed_form_degrees, idempotent_graph
+from .cleangraph import _pair_rows, _ring, cl2, cl2_pairs, closed_form_degrees, idempotent_graph
 from .graph import Graph, complete_graph, find_isomorphism
 from .modring import ModRing
 from .shuriken import build_sh, build_shu, copy_index, is_null
@@ -97,10 +98,12 @@ def _timed(theorem_id: str):
 
 def degree_table(n: ModRing | int) -> tuple[list[int], list[int], list[int]]:
     """The columns (actual, corrected, legacy) over the vertices of
-    cl2(Z_n) in stored order: the degrees in the graph, built once, then
-    the ones the closed form and its superseded version predict."""
+    cl2(Z_n) in stored order: the bit counts of cl2's rows, a block at a
+    time with no graph kept, then the closed form's and its superseded
+    version's."""
     ring = _ring(n)
-    return (cl2(ring).degrees(), *closed_form_degrees(ring))
+    rows = chain.from_iterable(_pair_rows(ring, ring.nonzero_idempotents()))
+    return (list(map(int.bit_count, rows)), *closed_form_degrees(ring))
 
 
 def _degree_mismatch(

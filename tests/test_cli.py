@@ -24,7 +24,7 @@ from cleangraphs.graph import export
 from cleangraphs.verify import TheoremReport
 
 from graph_helpers import Trickle, double_edge_swaps, ladder_graph, random_connected_graph
-from test_verify import plant, with_edge, without_last_vertex
+from test_verify import plant, with_edge, without_last_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,7 +55,7 @@ def test_degrees_table_flags_the_known_counterexample(capsys):
 def test_degrees_table_refuses_a_cl2_with_a_vertex_missing(capsys, monkeypatch):
     # the columns are compared whole before any row is printed, so a
     # shorter cl2 is not printed as a shorter table
-    plant(monkeypatch, "cl2", without_last_vertex)
+    plant(monkeypatch, "_pair_rows", without_last_row)
     code, out, err = run(capsys, "degrees", "7")
     assert code == 2
     assert out == ""

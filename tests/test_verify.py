@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -312,7 +313,9 @@ def test_benchmark_tracer_attributes_every_numeric_theorem(monkeypatch):
 # The defect goes into what a verifier reads (a graph, a count, the unit
 # layout or the searcher's verdict, through the attribute it calls),
 # never into the verifier.  Graphs are rebuilt from their label and edge
-# lists, so these tests hold whatever the store.
+# lists, so these tests hold whatever the store.  The degree reports read
+# cl2's rows from ``_pair_rows`` and build no graph, so their defects
+# join its blocks into one list of rows and change that.
 
 
 def without_edges(g: Graph, dropped) -> Graph:
@@ -330,9 +333,33 @@ def plant(monkeypatch, name, defect, owner=verify_module):
     monkeypatch.setattr(owner, name, lambda *args: defect(real(*args)))
 
 
+def without_edge_bits(g: Graph, dropped):
+    """A defect on the blocks of g's rows: both bits of each dropped
+    edge, named by its labels in g, cleared."""
+
+    def defect(blocks):
+        rows = [*chain.from_iterable(blocks)]
+        for a, b in dropped:
+            i, j = g.index[a], g.index[b]
+            rows[i] &= ~(1 << j)
+            rows[j] &= ~(1 << i)
+        return [rows]
+
+    return defect
+
+
+def without_last_row(blocks):
+    return [[*chain.from_iterable(blocks)][:-1]]
+
+
+def with_empty_row(blocks):
+    return [*blocks, [0]]
+
+
 def test_degree_formula_fails_on_a_dropped_edge(monkeypatch):
-    edge = verify_module.cl2(10).edges()[0]
-    plant(monkeypatch, "cl2", lambda g: without_edges(g, {edge}))
+    g = verify_module.cl2(10)
+    edge = g.edges()[0]
+    plant(monkeypatch, "_pair_rows", without_edge_bits(g, [edge]))
     r = verify_degree_formula(10)
     assert r.status == "fail"
     assert set(r.evidence) == {"vertex", "actual", "predicted"}
@@ -342,14 +369,14 @@ def test_degree_formula_fails_on_a_dropped_edge(monkeypatch):
 
 
 def test_degree_formula_names_the_first_of_four_disagreeing_vertices(monkeypatch):
-    # one dropped edge at the last vertex, one at the first, listed in that
-    # order: four vertices lose a degree, and the first in stored order is
-    # the one the report must name
+    # one dropped edge at the last vertex, one at the first: four vertices
+    # lose a degree, and the first in stored order is the one the report
+    # must name
     g = verify_module.cl2(30)
     first, last = g.vertices[0], g.vertices[-1]
     early = next(edge for edge in g.edges() if first in edge and last not in edge)
     late = next(edge for edge in g.edges() if last in edge and not set(edge) & set(early))
-    plant(monkeypatch, "cl2", lambda g: without_edges(g, [late, early]))
+    plant(monkeypatch, "_pair_rows", without_edge_bits(g, [late, early]))
     actuals, predictions, _ = degree_table(30)
     disagreeing = [
         (pair, actual, predicted)
@@ -398,8 +425,8 @@ def test_the_builders_do_not_read_the_unit_layout(monkeypatch):
 
 
 def test_counterexample_report_fails_on_a_dropped_edge(monkeypatch):
-    edge = verify_module.cl2(10).edges()[0]
-    plant(monkeypatch, "cl2", lambda g: without_edges(g, {edge}))
+    g = verify_module.cl2(10)
+    plant(monkeypatch, "_pair_rows", without_edge_bits(g, [g.edges()[0]]))
     r = report_counterexample(10)
     assert r.status == "fail"
     assert set(r.evidence) == {"vertex", "actual", "corrected"}
@@ -414,14 +441,14 @@ def without_last_vertex(g: Graph) -> Graph:
 
 @pytest.mark.parametrize(
     "defect, vertices",
-    [(without_last_vertex, 5), (lambda g: Graph([*g.vertices, "(0,0)"], g.edges()), 7)],
+    [(without_last_row, 5), (with_empty_row, 7)],
     ids=["vertex_dropped", "isolated_vertex_added"],
 )
 def test_both_degree_reports_fail_on_a_wrong_vertex_count(monkeypatch, defect, vertices):
-    # cl2(Z_7) has 6 vertices and its last, (1,6), is isolated: dropping it,
-    # or adding another isolated vertex, leaves every degree that lines up
-    # with the closed form equal to it, so only the vertex count can fail
-    plant(monkeypatch, "cl2", defect)
+    # cl2(Z_7) has 6 vertices and its last, (1,6), is isolated: dropping its
+    # row, or adding an empty one, leaves every degree that lines up with
+    # the closed form equal to it, so only the vertex count can fail
+    plant(monkeypatch, "_pair_rows", defect)
     degree, legacy = verify_degree_formula(7), report_counterexample(7)
     assert (degree.status, legacy.status) == ("fail", "fail")
     assert degree.detail == legacy.detail == f"cl2 has {vertices} vertices, the closed form 6"
@@ -430,7 +457,9 @@ def test_both_degree_reports_fail_on_a_wrong_vertex_count(monkeypatch, defect, v
 
 
 def test_sweep_reports_a_dropped_vertex_without_raising(monkeypatch):
+    # the degree reports read the rows, the other graph checks the graph
     plant(monkeypatch, "cl2", without_last_vertex)
+    plant(monkeypatch, "_pair_rows", without_last_row)
     statuses = {r.theorem_id: r.status for r in sweep([7])}
     assert statuses == {
         "degree_formula": "fail",
@@ -439,6 +468,20 @@ def test_sweep_reports_a_dropped_vertex_without_raising(monkeypatch):
         "prime_power_components": "fail",
         "self_inverse_count": "pass",
     }
+
+
+@pytest.mark.parametrize("n", [7, 30, 210])
+def test_the_degree_path_builds_no_graph(monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("the degree path built a graph")
+
+    monkeypatch.setattr(verify_module, "cl2", refuse)
+    monkeypatch.setattr(Graph, "from_rows", refuse)
+    assert verify_degree_formula(n).ok
+    assert report_counterexample(n).ok
+    actual, corrected, legacy = degree_table(n)
+    assert actual == corrected
+    assert len(actual) == len(legacy) == len(cl2_pairs(n))
 
 
 def test_a_passing_degree_check_names_no_vertex(monkeypatch):
